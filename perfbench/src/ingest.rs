@@ -16,12 +16,11 @@ use fsm_distsys::{
 };
 use fsm_fusion_core::MachineReport;
 
-use crate::calib::Calibrator;
 use crate::heap;
 use crate::report::{E2e, WorkloadResult};
 use crate::stats::{
-    attribute_latencies, calm_slices, host_steal_s, mean_u64, median_f64, median_kept, percentile,
-    process_cpu_s, thread_cpu_s, Marker, Outcome,
+    attribute_latencies, calm_slices, host_steal_s, mean_u64, median_f64, median_kept,
+    newest_confirmed, percentile, process_cpu_s, thread_cpu_s, Marker, Outcome,
 };
 use crate::trace::{self, Tracer};
 
@@ -37,12 +36,34 @@ const SENSORS: usize = 4;
 const RATE_PER_S: u64 = 50_000;
 const PERIOD_NS: u64 = 1_000_000_000 / RATE_PER_S;
 
+/// Events per second of `--seconds` that follow the open loop in a
+/// closed-loop phase, which `cpu_us_per_op` is measured on.  At 50k
+/// events/s most of the process's CPU time goes to waking idle threads,
+/// and how often they sleep depends on what else the host runs: a busy
+/// neighbour on the other core cut the open loop's CPU per event by a
+/// quarter.  Pushed as fast as the group confirms them, the same events
+/// keep the servers busy and the CPU time is the work.  At about 270k
+/// events/s the phase takes about half the run.
+const CLOSED_PER_S: u64 = 150_000;
+
+/// Events the closed-loop phase keeps in flight beyond those every server
+/// has confirmed: 16 full batches.  Without a bound the aggregator runs
+/// ahead of the servers and their channels, and the heap, grow.
+const CLOSED_WINDOW: u64 = 4096;
+
+/// Length of the closed-loop phase's CPU slices.
+const CLOSED_SLICE: Duration = Duration::from_millis(500);
+
 /// How long the aggregator sleeps (waiting for a marker reply) when a pump
 /// flushed nothing and no reply arrived.
 const IDLE_WAIT: Duration = Duration::from_micros(100);
 
-/// Set-ups per run; `setup_s` is the median of their calibrated times.
-const SETUPS: usize = 9;
+/// Set-ups per run; `setup_s` is the median of their times.  They are not
+/// calibrated as the fusion set-ups are: generating the stream is bound by
+/// first touches of fresh memory, which the allocation chunk does not
+/// track, and over eight runs the raw medians ranged over 6%, the
+/// calibrated ones over 17%.
+const SETUPS: usize = 15;
 
 /// Mean events between kills on `ingest_failover` (200 ms of traffic);
 /// each kill lands at a seeded offset in the second half of its slot.
@@ -77,6 +98,10 @@ struct Recorder {
     /// A marker whose answers' reports are kept (for a peer decode).
     probe: Option<(usize, Vec<Option<MachineReport>>)>,
     peer_resyncs: u64,
+    /// The newest marker found answered by every server, and the events
+    /// it confirms.
+    confirmed_marker: usize,
+    confirmed: u64,
 }
 
 impl Recorder {
@@ -94,6 +119,8 @@ impl Recorder {
             frames_replayed: 0,
             probe: None,
             peer_resyncs: 0,
+            confirmed_marker: 0,
+            confirmed: 0,
         }
     }
 
@@ -146,6 +173,15 @@ impl Recorder {
 
     fn answered_by_all(&self, marker: usize) -> bool {
         self.markers[marker].answered_ns.iter().all(Option::is_some)
+    }
+
+    /// Events every server has applied: the smallest delivered count of
+    /// the newest marker that every server has answered.
+    fn confirmed(&mut self) -> u64 {
+        if let Some((i, events)) = newest_confirmed(&self.markers, self.confirmed_marker) {
+            (self.confirmed_marker, self.confirmed) = (i, events);
+        }
+        self.confirmed
     }
 }
 
@@ -288,15 +324,16 @@ fn generate(
     mut lags: Vec<u32>,
 ) -> (Vec<u32>, f64) {
     let cpu0 = thread_cpu_s();
+    let open = events.len();
     let mut i = 0usize;
-    while i < events.len() {
+    while i < open {
         let now = origin.elapsed().as_nanos() as u64;
         let due = i as u64 * PERIOD_NS;
         if now < due {
             std::thread::sleep(Duration::from_nanos(due - now));
             continue;
         }
-        let due_count = ((now / PERIOD_NS) as usize + 1).min(events.len());
+        let due_count = ((now / PERIOD_NS) as usize + 1).min(open);
         while i < due_count {
             let at = origin.elapsed();
             handle.push_blocking(events[i].clone(), at);
@@ -310,17 +347,21 @@ fn generate(
 
 /// Runs `ingest_steady` (`failover == false`) or `ingest_failover`.
 pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadResult {
-    let events = (RATE_PER_S * seconds) as usize;
+    // The open loop fills half the run, the closed-loop phase about the
+    // rest.
+    let open_secs = seconds.div_ceil(2);
+    let open = (RATE_PER_S * open_secs) as usize;
+    let events = open + (CLOSED_PER_S * seconds) as usize;
     let mut outcome = Outcome::default();
     let mut lines = Vec::new();
 
-    let cal = Calibrator::new();
     let mut setup_times = Vec::with_capacity(SETUPS);
     let mut setup = None;
     for _ in 0..SETUPS {
         drop(setup.take());
-        let (s, secs) = cal.timed(|| set_up(events, seed));
-        setup_times.push(secs);
+        let start = Instant::now();
+        let s = set_up(events, seed);
+        setup_times.push(start.elapsed().as_secs_f64());
         setup = Some(s);
     }
     let Setup {
@@ -337,20 +378,26 @@ pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadRes
     };
     let servers = machines.len();
     let config = IngestConfig::new();
+    let (batch_max, queue_cap) = (config.resolved_batch_max(), config.resolved_queue_cap());
     let mut pipeline = IngestPipeline::new(1, servers, &config);
     let handle = pipeline.client(0);
     let schedule = if failover {
-        kill_schedule(events as u64, servers, seed)
+        kill_schedule(open as u64, servers, seed)
     } else {
         Vec::new()
     };
     let mut rec = Recorder::new(group, events / 128 + schedule.len() * 64 + 16, traced);
     let stream = workload.events();
     let finished = AtomicBool::new(false);
+    // The next closed-loop event to push, once the generator is done, and
+    // when the confirmed count last grew.
+    let mut next = open;
+    let mut progress = (0u64, Duration::ZERO);
+    let mut closed_start_ns = u64::MAX;
     let mut gaps_ns: Vec<u64> = Vec::with_capacity(schedule.len());
     let mut kills = 0usize;
     // Allocated before the heap window opens: it is the benchmark's own.
-    let lags = Vec::with_capacity(events);
+    let lags = Vec::with_capacity(open);
 
     heap::reset_peak();
     let heap_base = heap::live();
@@ -360,20 +407,68 @@ pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadRes
     rec.origin = origin;
     let mut outage: Option<Outage> = None;
     let mut pumps = 0u64;
-    // At each whole second of the run: (run ns, process CPU s, host steal s).
-    let mut marks: Vec<(u64, f64, f64)> = Vec::with_capacity(seconds as usize + 2);
+    // At each whole second of the open loop: (run ns, process CPU s, host
+    // steal s).
+    let mut marks: Vec<(u64, f64, f64)> = Vec::with_capacity(open_secs as usize + 2);
     marks.push((0, cpu0, host_steal_s()));
+    // Every `CLOSED_SLICE` of the closed-loop phase, from the moment every
+    // server has confirmed the open loop until the last event is pushed:
+    // (run ns, process CPU s, host steal s, confirmed events).
+    let mut closed_marks: Vec<(u64, f64, f64, u64)> = Vec::new();
 
     let (lags, gen_cpu) = std::thread::scope(|scope| {
         let generator = scope.spawn(|| {
-            let out = generate(handle, stream, origin, lags);
+            let out = generate(handle, &stream[..open], origin, lags);
             finished.store(true, Ordering::Release);
             out
         });
         loop {
             let now = origin.elapsed();
-            if now.as_secs() >= marks.len() as u64 && now.as_secs() <= seconds {
+            if now.as_secs() >= marks.len() as u64 && now.as_secs() <= open_secs {
                 marks.push((now.as_nanos() as u64, process_cpu_s(), host_steal_s()));
+            }
+            let confirmed = rec.confirmed();
+            let next_closed_mark = closed_marks
+                .last()
+                .map_or(0, |m| m.0 + CLOSED_SLICE.as_nanos() as u64);
+            if confirmed >= open as u64
+                && now.as_nanos() as u64 >= next_closed_mark
+                && next < events
+            {
+                closed_marks.push((
+                    now.as_nanos() as u64,
+                    process_cpu_s(),
+                    host_steal_s(),
+                    confirmed,
+                ));
+            }
+            // The closed loop: this thread is the only client, and pushes
+            // whole batches while the queue and the in-flight window have
+            // room for them, so every flush is a full one.
+            if finished.load(Ordering::Acquire) {
+                closed_start_ns = closed_start_ns.min(now.as_nanos() as u64);
+                if confirmed > progress.0 {
+                    progress = (confirmed, now);
+                } else if now - progress.1 > TAIL_TIMEOUT {
+                    lines.push(format!(
+                        "the closed loop stalled at {confirmed} confirmed events; {} never pushed",
+                        events - next
+                    ));
+                    break;
+                }
+                let limit = (confirmed + CLOSED_WINDOW).min(events as u64) as usize;
+                while next < limit
+                    && (next + batch_max <= limit || limit == events)
+                    && pipeline.queued() + batch_max <= queue_cap
+                {
+                    let end = (next + batch_max).min(events);
+                    while next < end && pipeline.try_push(0, stream[next].clone(), now).is_ok() {
+                        next += 1;
+                    }
+                    if next < end {
+                        break;
+                    }
+                }
             }
             if outage.is_none() {
                 if let Some(&(at, victim)) = schedule.get(kills) {
@@ -396,7 +491,7 @@ pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadRes
             pumps += 1;
             let replies = rec.poll(None);
             track_outage(&mut outage, &mut rec, &mut pipeline, &mut gaps_ns);
-            if finished.load(Ordering::Acquire) && pipeline.queued() == 0 {
+            if next == events && pipeline.queued() == 0 {
                 break;
             }
             if !flushed && replies == 0 {
@@ -428,6 +523,17 @@ pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadRes
     while !rec.answered_by_all(last) && Instant::now() < tail_deadline {
         rec.poll(Some(IDLE_WAIT));
     }
+    // A run too short for one whole slice takes the phase, up to the last
+    // marker's answers, as one.
+    if closed_marks.len() == 1 {
+        let confirmed = rec.confirmed();
+        closed_marks.push((
+            origin.elapsed().as_nanos() as u64,
+            process_cpu_s(),
+            host_steal_s(),
+            confirmed,
+        ));
+    }
     let window_ns = origin.elapsed().as_nanos() as u64;
     let cpu_s = process_cpu_s() - cpu0;
     let agg_cpu_s = thread_cpu_s() - agg_cpu0;
@@ -437,6 +543,8 @@ pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadRes
     // server's final state equal to the oracle over the whole stream.
     let (mut latencies, unconfirmed) =
         attribute_latencies(events, PERIOD_NS, servers, &rec.markers);
+    // Only the open loop's events have due times.
+    latencies.truncate(open);
     outcome.add(events as u64, unconfirmed as u64);
     let reports = rec.group.try_collect_reports();
     let mut mismatched = 0u64;
@@ -478,10 +586,43 @@ pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadRes
     let p50_ns = per_slice(&pct(50.0));
     let p90_ns = per_slice(&pct(90.0));
     let mean_ns = per_slice(&|s: &mut [u64]| mean_u64(s));
-    let cpu_per_event: Vec<f64> = marks
+    let open_cpu_per_event: Vec<f64> = marks
         .windows(2)
         .map(|w| (w[1].1 - w[0].1) * 1e6 / ((w[1].0 - w[0].0) as f64 / PERIOD_NS as f64))
         .collect();
+    let open_cpu_us = median_kept(&open_cpu_per_event, &clean);
+    // CPU per event of the closed-loop phase, slice by slice, leaving out
+    // stolen slices in the same way.
+    let closed_steal: Vec<f64> = closed_marks
+        .windows(2)
+        .map(|w| (w[1].2 - w[0].2) / ((w[1].0 - w[0].0) as f64 / 1e9 * cpus))
+        .collect();
+    let closed_cpu_per_event: Vec<f64> = closed_marks
+        .windows(2)
+        .map(|w| (w[1].1 - w[0].1) * 1e6 / (w[1].3 - w[0].3).max(1) as f64)
+        .collect();
+    let closed_clean = calm_slices(&closed_steal, STEAL_LIMIT);
+    let closed_rate = closed_marks
+        .last()
+        .zip(closed_marks.first())
+        .map_or(0.0, |(b, a)| {
+            (b.3 - a.3) as f64 / ((b.0 - a.0).max(1) as f64 / 1e9)
+        });
+    lines.push(format!(
+        "closed loop: {} of {} slices of {} ms kept, {:.0} events/s confirmed, cpu per event {:?}",
+        closed_clean.iter().filter(|&&c| c).count(),
+        closed_clean.len(),
+        CLOSED_SLICE.as_millis(),
+        closed_rate,
+        closed_cpu_per_event
+            .iter()
+            .map(|v| (v * 100.0).round() / 100.0)
+            .collect::<Vec<_>>(),
+    ));
+    if closed_cpu_per_event.is_empty() {
+        lines.push("the closed-loop phase was too short to measure".into());
+        outcome.add(1, 1);
+    }
     let steal_pct = steal.iter().sum::<f64>() / steal.len().max(1) as f64 * 100.0;
     lines.push(format!(
         "host steal {steal_pct:.2}% of the window; {} of {} slices kept (under {}% steal, or the calmest quarter)",
@@ -508,19 +649,20 @@ pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadRes
         p50_ms: p50_ns / 1e6,
         p90_ms: p90_ns / 1e6,
         mean_ms: mean_ns / 1e6,
-        cpu_us_per_op: median_kept(&cpu_per_event, &clean),
+        cpu_us_per_op: median_kept(&closed_cpu_per_event, &closed_clean),
         peak_heap_mb: heap_growth as f64 / (1u64 << 20) as f64,
         backup_states: machines[servers - 1].size() as f64,
     };
     lines.push(format!(
         "ingest_p50_ms={:.4} ingest_p90_ms={:.4} (medians over 1 s slices of {} events) \
-         ingest_cpu_us_per_event={:.4} (whole window {:.4}) \
+         ingest_cpu_us_per_event={:.4} (closed loop; open loop {:.4}, whole window {:.4}) \
          failover_gap_ms={} fusion_ms=n/a fusion_backup_states={} peak_heap_mb={:.3} \
          failed_frac={} setup_s={:.4}",
         e2e.p50_ms,
         e2e.p90_ms,
         p99.map_or(0, |p| p.samples),
         e2e.cpu_us_per_op,
+        open_cpu_us,
         cpu_s * 1e6 / events as f64,
         if failover {
             format!("{failover_gap_ms:.4} (median of {})", gaps_ns.len())
@@ -543,10 +685,14 @@ pub fn run(seconds: u64, seed: u64, failover: bool, traced: bool) -> WorkloadRes
                 (if self_only { own } else { dur }) as f64 / 1e3 / n.max(1) as f64
             })
         };
+        // Latency layers over the open loop only: the closed loop queues
+        // up to `CLOSED_WINDOW` events behind every flush by design.
         let mut e2f = pipeline.take_latency_samples();
+        e2f.truncate(open);
         let mut flush_to_ack: Vec<u64> = rec
             .markers
             .iter()
+            .filter(|m| m.sent_ns < closed_start_ns)
             .filter_map(|m| {
                 let done = m
                     .answered_ns

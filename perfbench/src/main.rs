@@ -22,11 +22,13 @@ mod trace;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use fsm_distsys::{DurabilityConfig, IngestConfig};
 use fsm_fusion_core::FusionConfig;
 
 use report::{result_json, WorkloadResult, END_TO_END, PER_LAYER};
+use stats::wait_for_calm;
 
 #[global_allocator]
 static ALLOC: heap::Counting = heap::Counting;
@@ -37,6 +39,13 @@ const WORKLOADS: [&str; 4] = [
     "fusion_cold",
     "fusion_evolve",
 ];
+
+/// Before a run starts, steal must stay under `CALM_STEAL` of one busy CPU
+/// over a window of `CALM_WINDOW`; a run waits at most `CALM_WAIT` for
+/// one.  On a calm host one busy CPU loses 0-6% a second.
+const CALM_STEAL: f64 = 0.1;
+const CALM_WINDOW: Duration = Duration::from_secs(2);
+const CALM_WAIT: Duration = Duration::from_secs(60);
 
 #[derive(Debug, PartialEq, Eq)]
 struct Args {
@@ -179,6 +188,15 @@ fn main() -> ExitCode {
         u8::from(args.trace)
     );
     println!("knobs {}", knobs());
+    // A few times an hour the host stalls the container for a minute or
+    // two, and every ingest run inside such a stretch reads up to 3.7x its
+    // usual latency; so a run starts once a window shows little steal.
+    let (waited, steal) = wait_for_calm(CALM_STEAL, CALM_WINDOW, CALM_WAIT);
+    println!(
+        "waited {waited:.1} s for the host to calm down (steal {:.1}% of a busy CPU over the last {} s)",
+        steal * 100.0,
+        CALM_WINDOW.as_secs()
+    );
     let mut result = match args.workload {
         "ingest_steady" => ingest::run(args.seconds, args.seed, false, args.trace),
         "ingest_failover" => ingest::run(args.seconds, args.seed, true, args.trace),

@@ -99,6 +99,35 @@ pub fn host_steal_s() -> f64 {
         / clock_ticks_per_s() as f64
 }
 
+/// Waits until the hypervisor steals less than `limit` of one busy CPU:
+/// keeps a CPU busy for windows of `window` until one shows less steal
+/// than that, for at most `max_wait`.  (An idle CPU shows no steal however
+/// contended the host is.)  Returns the seconds waited and the last
+/// window's steal share.
+pub fn wait_for_calm(
+    limit: f64,
+    window: std::time::Duration,
+    max_wait: std::time::Duration,
+) -> (f64, f64) {
+    let start = std::time::Instant::now();
+    loop {
+        let before = host_steal_s();
+        let spin = std::time::Instant::now();
+        let mut x = 1u64;
+        while spin.elapsed() < window {
+            for _ in 0..1000 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            }
+        }
+        std::hint::black_box(x);
+        let share = (host_steal_s() - before) / window.as_secs_f64();
+        let waited = start.elapsed();
+        if share < limit || waited + window > max_wait {
+            return ((waited - window).as_secs_f64(), share);
+        }
+    }
+}
+
 /// One report marker as the ingest workloads record it: for each server,
 /// how many stream events had been handed to it when the marker was
 /// requested, and when (nanoseconds on the run clock) its answer arrived,
@@ -147,6 +176,16 @@ pub fn attribute_latencies(
         .map(|(e, &done)| done.saturating_sub(e as u64 * period_ns))
         .collect();
     (latencies, events - confirmed)
+}
+
+/// The newest marker at or after `from` that every server has answered,
+/// with the number of stream events it confirms on all of them (the
+/// smallest delivered count).
+pub fn newest_confirmed(markers: &[Marker], from: usize) -> Option<(usize, u64)> {
+    (from..markers.len())
+        .rev()
+        .find(|&i| markers[i].answered_ns.iter().all(Option::is_some))
+        .map(|i| (i, markers[i].delivered.iter().copied().min().unwrap_or(0)))
 }
 
 /// User plus system CPU time, in clock ticks, from the text of a
@@ -332,6 +371,19 @@ mod tests {
         let (lat, missing) = attribute_latencies(4, 10, 2, &markers);
         assert_eq!(missing, 0);
         assert_eq!(lat, vec![22, 12, 75, 65]);
+    }
+
+    #[test]
+    fn the_newest_marker_answered_by_all_confirms_its_smallest_prefix() {
+        let markers = [
+            marker(20, &[2, 2], &[Some(21), Some(22)]),
+            marker(40, &[4, 3], &[Some(41), Some(43)]),
+            marker(60, &[6, 6], &[Some(61), None]),
+        ];
+        assert_eq!(newest_confirmed(&markers, 0), Some((1, 3)));
+        assert_eq!(newest_confirmed(&markers, 1), Some((1, 3)));
+        assert_eq!(newest_confirmed(&markers, 2), None);
+        assert_eq!(newest_confirmed(&[], 0), None);
     }
 
     #[test]
