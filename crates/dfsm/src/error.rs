@@ -11,6 +11,8 @@ use crate::state::StateId;
 pub enum DfsmError {
     /// The machine has no states.
     NoStates,
+    /// A cross product was requested over an empty machine set.
+    NoMachines,
     /// No initial state was specified.
     NoInitialState,
     /// A state name was used twice.
@@ -50,6 +52,9 @@ impl fmt::Display for DfsmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DfsmError::NoStates => write!(f, "machine has no states"),
+            DfsmError::NoMachines => {
+                write!(f, "reachable cross product of zero machines is undefined")
+            }
             DfsmError::NoInitialState => write!(f, "machine has no initial state"),
             DfsmError::DuplicateState(s) => write!(f, "duplicate state name `{s}`"),
             DfsmError::UnknownState(s) => write!(f, "unknown state `{s}`"),

@@ -92,7 +92,4 @@ pub use product::{
     DEFAULT_DENSE_LIMIT, DEFAULT_MEM_BUDGET,
 };
 pub use state::{StateId, StateInfo};
-pub use workers::{
-    configured_dense_limit, configured_mem_budget, configured_workers, parse_byte_size,
-    parse_workers,
-};
+pub use workers::{configured_dense_limit, configured_mem_budget, parse_byte_size};

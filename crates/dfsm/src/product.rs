@@ -30,14 +30,11 @@
 //!
 //! Per-event successors are pre-resolved into flat per-machine tables of
 //! *stride-multiplied* entries, so expanding one state is `|Σ| · n`
-//! additions with no per-pop tuple clone.  With `FSM_FUSION_WORKERS` (or an
-//! explicit [`ReachableProduct::with_workers`] count) the BFS runs
-//! level-synchronized: large frontiers are chunked across scoped worker
-//! threads that compute successor keys in parallel, and the main thread
-//! interns them in frontier × event order — exactly the sequential
-//! discovery order, so state numbering is bit-identical to the sequential
-//! build (`tests/product_properties.rs` pins packed, parallel and reference
-//! constructions against each other).
+//! additions with no per-pop tuple clone.  The BFS runs level-synchronized,
+//! interning each level's successor keys in frontier × event order — the
+//! discovery order of a one-state-at-a-time queue — so state numbering is
+//! bit-identical to the reference build (`tests/product_properties.rs`
+//! pins the packed and reference constructions against each other).
 //!
 //! ## Streaming construction
 //!
@@ -64,10 +61,10 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::arena::PageArena;
 use crate::dfsm::Dfsm;
-use crate::error::Result;
+use crate::error::{DfsmError, Result};
 use crate::event::Alphabet;
 use crate::state::{StateId, StateInfo};
-use crate::workers::{configured_dense_limit, configured_mem_budget, configured_workers};
+use crate::workers::{configured_dense_limit, configured_mem_budget};
 
 /// Default dense-interner crossover: full-product sizes up to this use the
 /// dense direct-indexed interner (`4 bytes × limit` = 16 MiB at the cap);
@@ -81,11 +78,6 @@ pub const DEFAULT_DENSE_LIMIT: u64 = 1 << 22;
 /// (`FSM_FUSION_MEM_BUDGET`).
 pub const DEFAULT_MEM_BUDGET: u64 = 256 << 20;
 
-/// Minimum frontier size before a BFS level is chunked across worker
-/// threads; below this the per-level spawn cost exceeds the successor
-/// arithmetic being parallelized.
-const PAR_LEVEL_MIN: usize = 256;
-
 /// Construction strategy for [`ReachableProduct`], selected through a
 /// [`ProductBuilder`].
 ///
@@ -94,14 +86,9 @@ const PAR_LEVEL_MIN: usize = 256;
 /// differ only in how the BFS is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProductStrategy {
-    /// Pick from the configured worker count: the packed sequential build
-    /// for one worker, the frontier-chunked parallel build otherwise.
+    /// The packed mixed-radix build.
     #[default]
-    Auto,
-    /// The packed mixed-radix build on the calling thread.
     Packed,
-    /// The packed build with frontier-chunked scoped worker threads.
-    Parallel,
     /// The memory-budgeted sequential build: successor rows stream into a
     /// spill-capable [`PageArena`] instead of an all-in-RAM
     /// table (see the module docs).
@@ -134,18 +121,17 @@ pub struct ProductBuildStats {
 /// Config-driven constructor for [`ReachableProduct`].
 ///
 /// The legacy constructors ([`ReachableProduct::new`],
-/// [`ReachableProduct::with_name`]) consult the `FSM_FUSION_WORKERS`
-/// environment variable on **every call**; a `ProductBuilder` instead
-/// captures its configuration once — explicitly via [`ProductBuilder::workers`]
-/// / [`ProductBuilder::strategy`], or from the environment once via
-/// [`ProductBuilder::from_env`] — and then builds any number of products
-/// with it.  `fsm-fusion-core`'s `FusionSession` owns one and threads it
-/// through the whole pipeline.
+/// [`ReachableProduct::with_name`]) read the sizing variables on **every
+/// call**; a `ProductBuilder` instead captures its configuration once —
+/// explicitly via [`ProductBuilder::strategy`] and the sizing setters, or
+/// from the environment once via [`ProductBuilder::from_env`] — and then
+/// builds any number of products with it.  `fsm-fusion-core`'s
+/// `FusionSession` owns one and threads it through the whole pipeline.
 ///
 /// Every sizing knob follows the same precedence — explicit > environment
-/// snapshot > default: a value set through [`ProductBuilder::workers`] /
-/// [`ProductBuilder::dense_limit`] / [`ProductBuilder::mem_budget`] always
-/// wins, even on a builder created by [`ProductBuilder::from_env`].
+/// snapshot > default: a value set through [`ProductBuilder::dense_limit`]
+/// / [`ProductBuilder::mem_budget`] always wins, even on a builder created
+/// by [`ProductBuilder::from_env`].
 ///
 /// Note: when `∏ |Si|` overflows `u64` the packed strategies cannot
 /// represent the tuples and every strategy falls back to the reference
@@ -154,8 +140,6 @@ pub struct ProductBuildStats {
 pub struct ProductBuilder {
     name: Option<String>,
     strategy: ProductStrategy,
-    workers: Option<usize>,
-    env_workers: Option<usize>,
     dense_limit: Option<u64>,
     env_dense_limit: Option<u64>,
     mem_budget: Option<u64>,
@@ -164,20 +148,18 @@ pub struct ProductBuilder {
 }
 
 impl ProductBuilder {
-    /// A builder with the sequential defaults: name `"top"`, strategy
-    /// [`ProductStrategy::Auto`], one worker, no environment consultation.
+    /// A builder with the defaults: name `"top"`, strategy
+    /// [`ProductStrategy::Packed`], no environment consultation.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A builder whose fallback worker count, dense-interner limit and
-    /// memory budget are snapshotted from `FSM_FUSION_WORKERS` /
-    /// `FSM_FUSION_DENSE_LIMIT` / `FSM_FUSION_MEM_BUDGET` **now** — later
-    /// changes to the environment do not affect it, and the explicit
-    /// setters still take precedence.
+    /// A builder whose fallback dense-interner limit and memory budget are
+    /// snapshotted from `FSM_FUSION_DENSE_LIMIT` / `FSM_FUSION_MEM_BUDGET`
+    /// **now** — later changes to the environment do not affect it, and
+    /// the explicit setters still take precedence.
     pub fn from_env() -> Self {
         ProductBuilder {
-            env_workers: Some(configured_workers()),
             env_dense_limit: configured_dense_limit(),
             env_mem_budget: configured_mem_budget(),
             ..Self::default()
@@ -187,13 +169,8 @@ impl ProductBuilder {
     /// Pure form of [`ProductBuilder::from_env`]: builds from already-read
     /// environment values so the precedence rules are testable without
     /// mutating the process environment (`None` = variable unset).
-    pub fn from_env_values(
-        workers: Option<usize>,
-        dense_limit: Option<u64>,
-        mem_budget: Option<u64>,
-    ) -> Self {
+    pub fn from_env_values(dense_limit: Option<u64>, mem_budget: Option<u64>) -> Self {
         ProductBuilder {
-            env_workers: workers,
             env_dense_limit: dense_limit,
             env_mem_budget: mem_budget,
             ..Self::default()
@@ -206,15 +183,9 @@ impl ProductBuilder {
         self
     }
 
-    /// Sets the construction strategy (default [`ProductStrategy::Auto`]).
+    /// Sets the construction strategy (default [`ProductStrategy::Packed`]).
     pub fn strategy(mut self, strategy: ProductStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Sets an explicit worker count, overriding any environment snapshot.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
         self
     }
 
@@ -244,12 +215,6 @@ impl ProductBuilder {
         self
     }
 
-    /// The worker count this builder resolves to: explicit > environment
-    /// snapshot > 1.
-    pub fn resolved_workers(&self) -> usize {
-        self.workers.or(self.env_workers).unwrap_or(1).max(1)
-    }
-
     /// The dense-interner limit this builder resolves to: explicit >
     /// environment snapshot > [`DEFAULT_DENSE_LIMIT`].
     pub fn resolved_dense_limit(&self) -> u64 {
@@ -274,28 +239,23 @@ impl ProductBuilder {
 
     /// [`ProductBuilder::build`] plus a [`ProductBuildStats`] describing
     /// which paths the construction took and how much it spilled.
+    ///
+    /// Fails with [`DfsmError::NoMachines`] when `machines` is empty: the
+    /// cross product of zero machines is undefined.
     pub fn build_with_stats(
         &self,
         machines: &[Dfsm],
     ) -> Result<(ReachableProduct, ProductBuildStats)> {
-        assert!(
-            !machines.is_empty(),
-            "reachable cross product of zero machines is undefined"
-        );
+        if machines.is_empty() {
+            return Err(DfsmError::NoMachines);
+        }
         let name = self.name.clone().unwrap_or_else(|| "top".into());
         let cap = self.packed_capacity.unwrap_or(u64::MAX);
         let dense_limit = self.resolved_dense_limit();
-        let workers = match self.strategy {
-            ProductStrategy::Auto => self.resolved_workers(),
-            ProductStrategy::Packed | ProductStrategy::Streaming => 1,
-            // An explicitly parallel build with no count configured still
-            // has to fan out; two workers is the smallest parallel build.
-            ProductStrategy::Parallel => self.resolved_workers().max(2),
-            ProductStrategy::Reference => {
-                let p = ReachableProduct::build_reference(machines, name)?;
-                return Ok((p, ProductBuildStats::default()));
-            }
-        };
+        if self.strategy == ProductStrategy::Reference {
+            let p = ReachableProduct::build_reference(machines, name)?;
+            return Ok((p, ProductBuildStats::default()));
+        }
         match Radix::new(machines, cap) {
             Some((radix, full)) if self.strategy == ProductStrategy::Streaming => {
                 ReachableProduct::build_streaming(
@@ -309,14 +269,7 @@ impl ProductBuilder {
             }
             Some((radix, full)) => {
                 let dense = full <= dense_limit;
-                let p = ReachableProduct::build_packed(
-                    machines,
-                    name,
-                    workers,
-                    radix,
-                    full,
-                    dense_limit,
-                )?;
+                let p = ReachableProduct::build_packed(machines, name, radix, full, dense_limit)?;
                 Ok((
                     p,
                     ProductBuildStats {
@@ -700,9 +653,9 @@ impl ReachableProduct {
     /// The product is constructed by breadth-first search from the tuple of
     /// initial states, so every product state is reachable by construction
     /// and the product state `0` is the initial state.  Uses the packed
-    /// interner (see the module docs) and consults `FSM_FUSION_WORKERS`
-    /// ([`configured_workers`]) for parallel frontier expansion; state
-    /// numbering is identical for every engine.
+    /// interner (see the module docs); state numbering is identical for
+    /// every strategy.  Fails with [`DfsmError::NoMachines`] when
+    /// `machines` is empty.
     ///
     /// This is a thin shim over [`ProductBuilder::from_env`]; callers that
     /// build more than one product (or want the environment read once, not
@@ -716,37 +669,6 @@ impl ReachableProduct {
         ProductBuilder::from_env().name(name).build(machines)
     }
 
-    /// Like [`ReachableProduct::new`] but with an explicit worker count for
-    /// the frontier expansion (ignoring `FSM_FUSION_WORKERS`); `workers <=
-    /// 1` selects the sequential packed build.
-    pub fn with_workers(machines: &[Dfsm], workers: usize) -> Result<Self> {
-        Self::with_name_workers(machines, "top", workers)
-    }
-
-    /// Full-control constructor: explicit name and worker count.
-    pub fn with_name_workers(
-        machines: &[Dfsm],
-        name: impl Into<String>,
-        workers: usize,
-    ) -> Result<Self> {
-        assert!(
-            !machines.is_empty(),
-            "reachable cross product of zero machines is undefined"
-        );
-        match Radix::new(machines, u64::MAX) {
-            Some((radix, full)) => Self::build_packed(
-                machines,
-                name.into(),
-                workers,
-                radix,
-                full,
-                DEFAULT_DENSE_LIMIT,
-            ),
-            // ∏ |Si| overflows u64: packed keys cannot represent the tuples.
-            None => Self::build_reference(machines, name.into()),
-        }
-    }
-
     /// The seed tuple-keyed BFS construction, preserved as the reference
     /// implementation the packed builders are pinned against
     /// (`tests/product_properties.rs`) and benchmarked next to
@@ -754,21 +676,17 @@ impl ReachableProduct {
     /// identical product: same state numbering, names, transitions and
     /// tuples.
     pub fn new_reference(machines: &[Dfsm]) -> Result<Self> {
-        assert!(
-            !machines.is_empty(),
-            "reachable cross product of zero machines is undefined"
-        );
-        Self::build_reference(machines, "top".into())
+        ProductBuilder::new()
+            .strategy(ProductStrategy::Reference)
+            .build(machines)
     }
 
     /// Packed BFS: states are interned through mixed-radix `u64` keys
-    /// (dense table or key hash map), successors come from flat
-    /// stride-multiplied tables, and large frontiers optionally fan out
-    /// over scoped worker threads.
+    /// (dense table or key hash map) and successors come from flat
+    /// stride-multiplied tables.
     fn build_packed(
         machines: &[Dfsm],
         name: String,
-        workers: usize,
         radix: Radix,
         full: u64,
         dense_limit: u64,
@@ -800,28 +718,6 @@ impl ReachableProduct {
             .expect("initial states are in range");
         intern(initial_key, &mut num_states, &mut tuple_flat);
 
-        // Shared successor-key kernel for both expansion branches below, so
-        // the parallel and sequential builds can never diverge: fills
-        // `out[(local - locals.start) * k + e]` with the packed key of
-        // frontier state `level_start + local` under event `e`.
-        let expand_rows = |level_start: usize,
-                           locals: std::ops::Range<usize>,
-                           out: &mut [u64],
-                           tuple_flat: &[StateId]| {
-            for (local, row) in locals.zip(out.chunks_mut(k)) {
-                let t = level_start + local;
-                let comps = &tuple_flat[t * arity..(t + 1) * arity];
-                for (e, slot) in row.iter_mut().enumerate() {
-                    *slot = comps
-                        .iter()
-                        .zip(step.iter())
-                        .zip(radix.sizes.iter())
-                        .map(|((&s, table), &size)| table[e * size as usize + s.index()])
-                        .sum();
-                }
-            }
-        };
-
         let mut transitions: Vec<Vec<StateId>> = Vec::new();
         let mut next_keys: Vec<u64> = Vec::new();
         let mut level_start = 0usize;
@@ -829,8 +725,8 @@ impl ReachableProduct {
         // each level's successors are interned in frontier × event order —
         // exactly the order the one-state-at-a-time queue would produce.
         // An empty union alphabet (k == 0) means the sole reachable state
-        // has no successors at all; the chunked loops below cannot iterate
-        // rows of width zero, so emit the empty transition rows directly.
+        // has no successors at all; the row loops below cannot iterate rows
+        // of width zero, so emit the empty transition rows directly.
         if k == 0 {
             transitions = vec![Vec::new(); num_states];
             level_start = num_states;
@@ -841,22 +737,19 @@ impl ReachableProduct {
             next_keys.clear();
             next_keys.resize(level_len * k, 0);
 
-            // Frontier-chunked expansion: the successor arithmetic for a
-            // large level is split across scoped threads; interning (below)
-            // stays on this thread in deterministic order.
-            if workers > 1 && level_len >= PAR_LEVEL_MIN {
-                let chunk = level_len.div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for (ci, out) in next_keys.chunks_mut(chunk * k).enumerate() {
-                        let start = ci * chunk;
-                        let end = (start + out.len() / k).min(level_len);
-                        let tuple_flat = &tuple_flat;
-                        let expand_rows = &expand_rows;
-                        scope.spawn(move || expand_rows(level_start, start..end, out, tuple_flat));
-                    }
-                });
-            } else {
-                expand_rows(level_start, 0..level_len, &mut next_keys, &tuple_flat);
+            // Successor keys for the whole level first (reading the
+            // frontier's components), then interning, which appends to
+            // `tuple_flat`.
+            for (t, row) in (level_start..level_end).zip(next_keys.chunks_mut(k)) {
+                let comps = &tuple_flat[t * arity..(t + 1) * arity];
+                for (e, slot) in row.iter_mut().enumerate() {
+                    *slot = comps
+                        .iter()
+                        .zip(step.iter())
+                        .zip(radix.sizes.iter())
+                        .map(|((&s, table), &size)| table[e * size as usize + s.index()])
+                        .sum();
+                }
             }
 
             for row_keys in next_keys.chunks(k) {
@@ -1293,6 +1186,33 @@ mod tests {
     }
 
     #[test]
+    fn empty_machine_set_is_an_error_not_a_panic() {
+        assert_eq!(
+            ProductBuilder::new().build(&[]).unwrap_err(),
+            DfsmError::NoMachines
+        );
+        for strategy in [
+            ProductStrategy::Packed,
+            ProductStrategy::Streaming,
+            ProductStrategy::Reference,
+        ] {
+            let err = ProductBuilder::new()
+                .strategy(strategy)
+                .build_with_stats(&[])
+                .unwrap_err();
+            assert_eq!(err, DfsmError::NoMachines, "{strategy:?}");
+        }
+        assert_eq!(
+            ReachableProduct::new(&[]).unwrap_err(),
+            DfsmError::NoMachines
+        );
+        assert_eq!(
+            ReachableProduct::new_reference(&[]).unwrap_err(),
+            DfsmError::NoMachines
+        );
+    }
+
+    #[test]
     fn packed_parallel_and_reference_builds_agree() {
         let machines = [
             counter("a", "0", 3),
@@ -1300,11 +1220,9 @@ mod tests {
             counter("c", "0", 2),
         ];
         let reference = ReachableProduct::new_reference(&machines).unwrap();
-        let packed = ReachableProduct::with_workers(&machines, 1).unwrap();
-        let parallel = ReachableProduct::with_workers(&machines, 3).unwrap();
+        let packed = ProductBuilder::new().build(&machines).unwrap();
         assert!(matches!(packed.index, TupleIndex::Dense { .. }));
         assert_same_product(&reference, &packed);
-        assert_same_product(&reference, &parallel);
         // Dense-table find_tuple agrees with the reference map, reachable
         // and unreachable tuples alike.
         for s0 in 0..3 {
@@ -1345,7 +1263,9 @@ mod tests {
         b.add_state("only");
         b.set_initial("only");
         let m = b.build().unwrap();
-        let packed = ReachableProduct::with_workers(std::slice::from_ref(&m), 2).unwrap();
+        let packed = ProductBuilder::new()
+            .build(std::slice::from_ref(&m))
+            .unwrap();
         let reference = ReachableProduct::new_reference(std::slice::from_ref(&m)).unwrap();
         assert_same_product(&packed, &reference);
         assert_eq!(packed.size(), 1);
@@ -1356,14 +1276,9 @@ mod tests {
     #[test]
     fn product_builder_strategies_agree_and_name_applies() {
         let machines = [counter("a", "0", 3), counter("b", "1", 4)];
-        let auto = ProductBuilder::new().build(&machines).unwrap();
+        let default = ProductBuilder::new().build(&machines).unwrap();
         let packed = ProductBuilder::new()
             .strategy(ProductStrategy::Packed)
-            .build(&machines)
-            .unwrap();
-        let parallel = ProductBuilder::new()
-            .strategy(ProductStrategy::Parallel)
-            .workers(3)
             .build(&machines)
             .unwrap();
         let reference = ProductBuilder::new()
@@ -1371,22 +1286,10 @@ mod tests {
             .build(&machines)
             .unwrap();
         assert!(matches!(reference.index, TupleIndex::Tuples(_)));
-        assert_same_product(&auto, &packed);
-        assert_same_product(&auto, &parallel);
-        assert_same_product(&auto, &reference);
+        assert_same_product(&default, &packed);
+        assert_same_product(&default, &reference);
         let named = ProductBuilder::new().name("R").build(&machines).unwrap();
         assert_eq!(named.top().name(), "R");
-    }
-
-    #[test]
-    fn product_builder_explicit_workers_beat_the_env_snapshot() {
-        // The precedence contract: an explicit count wins over whatever the
-        // builder snapshotted from the environment (here: whatever the test
-        // process environment happens to hold), and the default is 1.
-        assert_eq!(ProductBuilder::new().resolved_workers(), 1);
-        assert_eq!(ProductBuilder::new().workers(7).resolved_workers(), 7);
-        assert_eq!(ProductBuilder::from_env().workers(7).resolved_workers(), 7);
-        assert_eq!(ProductBuilder::new().workers(0).resolved_workers(), 1);
     }
 
     #[test]
@@ -1396,7 +1299,7 @@ mod tests {
             counter("b", "1", 9),
             counter("c", "2", 6),
         ];
-        let packed = ReachableProduct::with_workers(&machines, 1).unwrap();
+        let packed = ProductBuilder::new().build(&machines).unwrap();
         // A comfortable budget: no spilling, dense interner.
         let (roomy, stats) = ProductBuilder::new()
             .strategy(ProductStrategy::Streaming)
@@ -1470,17 +1373,14 @@ mod tests {
         let b = ProductBuilder::new();
         assert_eq!(b.resolved_dense_limit(), DEFAULT_DENSE_LIMIT);
         assert_eq!(b.resolved_mem_budget(), DEFAULT_MEM_BUDGET);
-        let b = ProductBuilder::from_env_values(Some(3), Some(1000), Some(1 << 16));
-        assert_eq!(b.resolved_workers(), 3);
+        let b = ProductBuilder::from_env_values(Some(1000), Some(1 << 16));
         assert_eq!(b.resolved_dense_limit(), 1000);
         assert_eq!(b.resolved_mem_budget(), 1 << 16);
-        let b = b.workers(7).dense_limit(5).mem_budget(42);
-        assert_eq!(b.resolved_workers(), 7);
+        let b = b.dense_limit(5).mem_budget(42);
         assert_eq!(b.resolved_dense_limit(), 5);
         assert_eq!(b.resolved_mem_budget(), 42);
         // Unset env values fall through to the defaults.
-        let b = ProductBuilder::from_env_values(None, None, None);
-        assert_eq!(b.resolved_workers(), 1);
+        let b = ProductBuilder::from_env_values(None, None);
         assert_eq!(b.resolved_dense_limit(), DEFAULT_DENSE_LIMIT);
         assert_eq!(b.resolved_mem_budget(), DEFAULT_MEM_BUDGET);
     }

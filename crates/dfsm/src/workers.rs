@@ -1,40 +1,10 @@
-//! The `FSM_FUSION_*` environment knobs shared across the workspace.
-//!
-//! One process-wide convention selects the parallel engines everywhere: the
-//! reachable-product builder in this crate
-//! ([`crate::ReachableProduct::new`]) and the Algorithm-2 / lattice engines
-//! in `fsm-fusion-core` (which re-exports [`configured_workers`]) all
-//! consult the same variables, so a test suite or deployment opts a whole
-//! pipeline into parallelism with a single `export`.  The same module hosts
-//! the sizing knobs of the product builder: `FSM_FUSION_DENSE_LIMIT` (the
+//! The `FSM_FUSION_*` environment knobs shared across the workspace: the
+//! sizing knobs of the product builder, `FSM_FUSION_DENSE_LIMIT` (the
 //! dense-interner crossover) and `FSM_FUSION_MEM_BUDGET` (the streaming
-//! build's resident-memory budget).  Every knob follows the established
-//! precedence: explicit builder/config call > environment snapshot >
-//! default.
-
-/// Worker count requested through the `FSM_FUSION_WORKERS` environment
-/// variable: unset, empty, `0` or `1` select the sequential paths, `auto`
-/// selects [`std::thread::available_parallelism`], and any other number is
-/// used as given.  Unparseable values fall back to sequential.
-pub fn configured_workers() -> usize {
-    match std::env::var("FSM_FUSION_WORKERS") {
-        Ok(v) => parse_workers(&v),
-        Err(_) => 1,
-    }
-}
-
-/// The `FSM_FUSION_WORKERS` value convention, as a pure function so the
-/// parsing rules are testable (and reusable by `fsm-fusion-core`'s
-/// `FusionConfig`) without mutating the process environment.
-pub fn parse_workers(value: &str) -> usize {
-    match value.trim() {
-        "" | "0" | "1" => 1,
-        "auto" => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        s => s.parse().unwrap_or(1),
-    }
-}
+//! build's resident-memory budget).  Both the product builder in this
+//! crate and `fsm-fusion-core`'s `FusionConfig` read them, and every knob
+//! follows the established precedence: explicit builder/config call >
+//! environment snapshot > default.
 
 /// Dense-interner limit requested through `FSM_FUSION_DENSE_LIMIT`, or
 /// `None` when the variable is unset/unparseable (callers then fall back
@@ -87,21 +57,6 @@ pub fn parse_byte_size(value: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_workers_follows_the_env_convention() {
-        // The parser is a pure function, so the rules are testable without
-        // mutating the process environment (other tests in this binary run
-        // concurrently).
-        for sequential in ["", " ", "0", "1", " 1 ", "garbage", "-3", "2.5"] {
-            assert_eq!(parse_workers(sequential), 1, "value {sequential:?}");
-        }
-        assert_eq!(parse_workers("2"), 2);
-        assert_eq!(parse_workers(" 16 "), 16);
-        assert!(parse_workers("auto") >= 1);
-        // And the env-reading wrapper stays callable.
-        assert!(configured_workers() >= 1);
-    }
 
     #[test]
     fn parse_byte_size_follows_the_env_convention() {

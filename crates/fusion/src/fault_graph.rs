@@ -44,7 +44,7 @@
 //! to end.  The pre-refactor full scans are preserved as
 //! [`FaultGraph::dmin_scan`] / [`FaultGraph::weakest_edges_scan`] /
 //! [`FaultGraph::addition_increases_dmin_scan`] for cross-validation
-//! (`tests/parallel_properties.rs`, `tests/fault_graph_repr.rs`) and for
+//! (`tests/fault_graph_repr.rs`) and for
 //! the `fault_graph_incremental_*` baselines in `BENCH_fusion.json`.
 //!
 //! ## Sparse representation

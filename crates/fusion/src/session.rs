@@ -3,18 +3,13 @@
 //!
 //! The free functions ([`crate::generate_fusion`],
 //! [`crate::enumerate_lattice`], …) re-derive everything on every call:
-//! they re-read `FSM_FUSION_WORKERS`, rebuild scratch buffers, re-attach
-//! pool handles and recompute every candidate closure from nothing.  A
-//! `FusionSession` — built once from a [`FusionConfig`] — owns all of that
-//! across calls:
+//! they rebuild the closure kernel and scratch buffers and recompute every
+//! candidate closure from nothing.  A `FusionSession` — built once from a
+//! [`FusionConfig`] — owns all of that across calls:
 //!
-//! * the resolved engine and worker count (environment resolved **once**,
-//!   at config build, and only as the `Auto` fallback),
-//! * one [`CloseScratch`] serving every sequential/inline closure of the
-//!   session's lifetime,
-//! * a per-machine context: the [`ClosureKernel`] and (for the pooled
-//!   engines) the `MergePool` handle, rebuilt only when the top machine
-//!   actually changes,
+//! * one [`CloseScratch`] serving every closure of the session's lifetime,
+//! * the [`ClosureKernel`] of the current top machine, rebuilt only when
+//!   that machine actually changes,
 //! * a [`fsm_dfsm::ProductBuilder`] configuration for
 //!   [`FusionSession::build_product`],
 //! * and — the new capability — a **cross-call closure cache** keyed by
@@ -31,7 +26,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use fsm_fusion_core::{Engine, FusionConfig};
+//! use fsm_fusion_core::FusionConfig;
 //! # use fsm_dfsm::DfsmBuilder;
 //! # let mut machines = Vec::new();
 //! # for (name, event) in [("A", "0"), ("B", "1")] {
@@ -46,7 +41,7 @@
 //! # }
 //!
 //! // `machines` are the paper's Figure-1 mod-3 counters.
-//! let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+//! let mut session = FusionConfig::new().build();
 //! let (product, fusion) = session.generate_fusion_for_machines(&machines, 1).unwrap();
 //! assert_eq!(product.size(), 9);
 //! assert_eq!(fusion.machine_sizes(), vec![3]);
@@ -61,18 +56,16 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use fsm_dfsm::{Dfsm, ProductBuilder, ReachableProduct, StateId};
 
 use crate::closed::{CloseScratch, ClosureKernel};
-use crate::config::{CachePolicy, Engine, FusionConfig, ProductStrategy};
+use crate::config::{CachePolicy, FusionConfig, ProductStrategy};
 use crate::delta::{TopDelta, UpdateStats};
 use crate::error::{FusionError, Result};
 use crate::fault_graph::{FaultGraph, WeightRepr};
-use crate::generate::{pooled_engine, seq_engine, FusionGeneration};
-use crate::lattice::{enumerate_lattice_session, lower_cover_session, ClosedPartitionLattice};
-use crate::par::MergePool;
+use crate::generate::{seq_engine, FusionGeneration};
+use crate::lattice::{enumerate_lattice_impl, lower_cover_impl, ClosedPartitionLattice};
 use crate::partition::Partition;
 use crate::set_repr::projection_partitions;
 
@@ -499,9 +492,9 @@ fn push_assignment(
 
 /// Closes blocks `b1`/`b2` of `current` into `out`, answering from the
 /// session cache when one is threaded through: lookup → closure fixpoint →
-/// insert.  This is the **single** cache probe shared by both descent
-/// engines and the lattice lower cover, so the cache protocol cannot
-/// silently diverge between the paths the test suite pins as identical.
+/// insert.  This is the **single** cache probe shared by the descent and
+/// the lattice lower cover, so the cache protocol cannot silently diverge
+/// between the paths the test suite pins as identical.
 #[allow(clippy::too_many_arguments)] // one slot per engine-loop buffer, same as product::finish
 pub(crate) fn cached_close(
     kernel: &ClosureKernel,
@@ -528,11 +521,7 @@ pub(crate) fn cached_close(
 /// The session's per-machine context: rebuilt only when the top machine's
 /// transition table actually changes.
 struct TopContext {
-    kernel: Arc<ClosureKernel>,
-    /// The pool handle for [`Engine::Pooled`] (persistent global workers)
-    /// and [`Engine::Spawn`] (private threads, joined when this context is
-    /// replaced or the session drops); `None` for [`Engine::Sequential`].
-    pool: Option<MergePool>,
+    kernel: ClosureKernel,
 }
 
 /// The session's installed `⊤`: the machine set, its reachable cross
@@ -548,12 +537,9 @@ struct TopState {
 /// [module docs](self) for what it owns and caches.
 ///
 /// Build one with [`FusionConfig::build`].  The session is `Send` but not
-/// `Sync`: hand each thread its own (they may still share the global
-/// worker pool underneath).
+/// `Sync`: hand each thread its own.
 pub struct FusionSession {
     config: FusionConfig,
-    engine: Engine,
-    workers: usize,
     product: ProductStrategy,
     scratch: CloseScratch,
     cache: Option<ClosureCache>,
@@ -566,8 +552,6 @@ pub struct FusionSession {
 impl std::fmt::Debug for FusionSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FusionSession")
-            .field("engine", &self.engine)
-            .field("workers", &self.workers)
             .field("product", &self.product)
             .field("cache_stats", &self.cache_stats())
             .finish_non_exhaustive()
@@ -578,8 +562,6 @@ impl FusionSession {
     /// Builds a session from a config (equivalent to
     /// [`FusionConfig::build`]).
     pub fn new(config: FusionConfig) -> Self {
-        let engine = config.resolved_engine();
-        let workers = config.resolved_workers();
         let product = config.resolved_product();
         let cache = match config.cache_policy() {
             CachePolicy::Disabled => None,
@@ -587,8 +569,6 @@ impl FusionSession {
         };
         FusionSession {
             config,
-            engine,
-            workers,
             product,
             scratch: CloseScratch::new(),
             cache,
@@ -605,22 +585,12 @@ impl FusionSession {
     }
 
     /// The config this session was built from (useful to rebuild an
-    /// equivalent session, e.g. after a worker panic).
+    /// equivalent session).
     pub fn config(&self) -> &FusionConfig {
         &self.config
     }
 
-    /// The resolved engine (never [`Engine::Auto`]).
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// The resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The resolved product strategy (never [`ProductStrategy::Auto`]).
+    /// The product strategy this session builds with.
     pub fn product_strategy(&self) -> ProductStrategy {
         self.product
     }
@@ -641,27 +611,25 @@ impl FusionSession {
         }
     }
 
-    /// The session's configured [`ProductBuilder`] (strategy, workers,
+    /// The session's configured [`ProductBuilder`] (strategy,
     /// dense-interner limit, streaming memory budget).
     fn product_builder(&self) -> ProductBuilder {
         ProductBuilder::new()
             .strategy(self.product)
-            .workers(self.workers)
             .dense_limit(self.config.resolved_dense_limit())
             .mem_budget(self.config.resolved_mem_budget())
     }
 
     /// Builds the reachable cross product of `machines` with the session's
-    /// product strategy, worker count and sizing knobs (dense-interner
-    /// limit and streaming memory budget).
+    /// product strategy and sizing knobs (dense-interner limit and
+    /// streaming memory budget).
     pub fn build_product(&self, machines: &[Dfsm]) -> Result<ReachableProduct> {
         Ok(self.product_builder().build(machines)?)
     }
 
     /// Algorithm 2 through the session: generates the smallest set of
     /// closed partitions `F` of `top` such that `dmin(originals ∪ F) > f`,
-    /// on the session's engine, reusing its scratch, pool handle and
-    /// closure cache.
+    /// reusing the session's kernel, scratch and closure cache.
     ///
     /// Produces exactly the free functions' fusions and statistics
     /// (`tests/session_properties.rs`); only wall-clock time differs.
@@ -671,30 +639,8 @@ impl FusionSession {
         originals: &[Partition],
         f: usize,
     ) -> Result<FusionGeneration> {
-        self.refresh_context(top);
-        let ctx = self
-            .ctx
-            .as_mut()
-            .expect("refresh_context installs a context");
-        match ctx.pool.as_mut() {
-            None => seq_engine(
-                top,
-                &ctx.kernel,
-                originals,
-                f,
-                &mut self.scratch,
-                self.cache.as_mut(),
-            ),
-            Some(pool) => pooled_engine(
-                top,
-                &ctx.kernel,
-                pool,
-                originals,
-                f,
-                &mut self.scratch,
-                self.cache.as_mut(),
-            ),
-        }
+        let (kernel, scratch, cache) = self.context_for(top);
+        seq_engine(top, kernel, originals, f, scratch, cache)
     }
 
     /// The whole pipeline: builds the reachable cross product with the
@@ -713,20 +659,10 @@ impl FusionSession {
     }
 
     /// The lower cover of a closed partition `p` of `top` through the
-    /// session (closures come from the cache / pool like the descent's).
+    /// session (closures come from the cache like the descent's).
     pub fn lower_cover(&mut self, top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
-        self.refresh_context(top);
-        let ctx = self
-            .ctx
-            .as_mut()
-            .expect("refresh_context installs a context");
-        lower_cover_session(
-            &ctx.kernel,
-            p,
-            ctx.pool.as_mut(),
-            &mut self.scratch,
-            self.cache.as_mut(),
-        )
+        let (kernel, scratch, cache) = self.context_for(top);
+        lower_cover_impl(kernel, p, scratch, cache)
     }
 
     /// Enumerates the closed partition lattice of `top` through the
@@ -736,19 +672,8 @@ impl FusionSession {
         top: &Dfsm,
         limit: usize,
     ) -> Result<ClosedPartitionLattice> {
-        self.refresh_context(top);
-        let ctx = self
-            .ctx
-            .as_mut()
-            .expect("refresh_context installs a context");
-        enumerate_lattice_session(
-            top,
-            &ctx.kernel,
-            limit,
-            ctx.pool.as_mut(),
-            &mut self.scratch,
-            self.cache.as_mut(),
-        )
+        let (kernel, scratch, cache) = self.context_for(top);
+        enumerate_lattice_impl(top, kernel, limit, scratch, cache)
     }
 
     /// Installs `machines` as the session's evolving `⊤`: builds the
@@ -783,7 +708,7 @@ impl FusionSession {
     /// Algorithm 2 over the *installed* `⊤`
     /// ([`FusionSession::install_top`] / [`FusionSession::update_top`]) —
     /// the delta-aware form of [`FusionSession::generate_fusion`], sharing
-    /// its cache, kernel and pool.
+    /// its cache and kernel.
     pub fn generate_top_fusion(&mut self, f: usize) -> Result<FusionGeneration> {
         let top = self.top.take().ok_or_else(|| {
             FusionError::InvalidDelta("no top installed (call install_top first)".into())
@@ -805,8 +730,7 @@ impl FusionSession {
     ///   ([`crate::FaultGraph::apply_delta`]),
     /// * cached closures are re-indexed and rehashed
     ///   (collision-verified) rather than cleared,
-    /// * the kernel and pool handle are replaced in place without a
-    ///   cache reset.
+    /// * the kernel is replaced in place without a cache reset.
     ///
     /// The post-delta session is pinned **bit-identical** — fusion
     /// partitions, generation statistics, product numbering — to a cold
@@ -1058,11 +982,25 @@ impl FusionSession {
         })
     }
 
+    /// [`FusionSession::refresh_context`] for `top`, then the kernel,
+    /// scratch and cache an engine call threads through.
+    fn context_for(
+        &mut self,
+        top: &Dfsm,
+    ) -> (&ClosureKernel, &mut CloseScratch, Option<&mut ClosureCache>) {
+        self.refresh_context(top);
+        let ctx = self
+            .ctx
+            .as_ref()
+            .expect("refresh_context installs a context");
+        (&ctx.kernel, &mut self.scratch, self.cache.as_mut())
+    }
+
     /// Installs (or keeps) the per-machine context for `top`.  The closure
     /// cache is only valid for one transition table, so it is cleared when
-    /// the machine changes; an unchanged machine keeps kernel, pool handle
-    /// and cache (verified by streaming `top`'s transitions against the
-    /// stored kernel — no per-call kernel rebuild).
+    /// the machine changes; an unchanged machine keeps kernel and cache
+    /// (verified by streaming `top`'s transitions against the stored
+    /// kernel — no per-call kernel rebuild).
     fn refresh_context(&mut self, top: &Dfsm) {
         let replacing = match self.ctx.as_ref() {
             Some(ctx) => {
@@ -1084,21 +1022,13 @@ impl FusionSession {
         self.install_context(top);
     }
 
-    /// Rebuilds kernel and pool handle for `top` **without** touching the
-    /// cache — the delta paths remap cached state themselves and must not
-    /// lose it to a machine-change reset.
+    /// Rebuilds the kernel for `top` **without** touching the cache — the
+    /// delta paths remap cached state themselves and must not lose it to a
+    /// machine-change reset.
     fn install_context(&mut self, top: &Dfsm) {
-        let kernel = Arc::new(ClosureKernel::new(top));
-        let pool = match self.engine {
-            Engine::Sequential => None,
-            Engine::Pooled => Some(MergePool::attach(Arc::clone(&kernel), self.workers)),
-            Engine::Spawn => Some(MergePool::spawn_standalone(
-                Arc::clone(&kernel),
-                self.workers,
-            )),
-            Engine::Auto => unreachable!("FusionSession::new resolves Auto"),
-        };
-        self.ctx = Some(TopContext { kernel, pool });
+        self.ctx = Some(TopContext {
+            kernel: ClosureKernel::new(top),
+        });
     }
 }
 
@@ -1106,7 +1036,7 @@ impl FusionSession {
 mod tests {
     use super::*;
     use crate::error::FusionError;
-    use crate::generate::{generate_fusion_par, generate_fusion_seq};
+    use crate::generate::generate_fusion_seq;
     use fsm_dfsm::DfsmBuilder;
 
     fn counter(name: &str, event: &str, k: usize) -> Dfsm {
@@ -1133,7 +1063,7 @@ mod tests {
 
     #[test]
     fn sequential_session_matches_free_function_and_caches_across_f_sweep() {
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         let (product, _) = session
             .generate_fusion_for_machines(&fig1_pair(), 1)
             .unwrap();
@@ -1164,7 +1094,7 @@ mod tests {
 
     #[test]
     fn changing_the_top_machine_clears_the_cache() {
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         let (p1, _) = session
             .generate_fusion_for_machines(&fig1_pair(), 1)
             .unwrap();
@@ -1187,10 +1117,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_counts_nothing_and_still_matches() {
-        let mut session = FusionConfig::new()
-            .engine(Engine::Sequential)
-            .cache(CachePolicy::Disabled)
-            .build();
+        let mut session = FusionConfig::new().cache(CachePolicy::Disabled).build();
         let (product, fusion) = session
             .generate_fusion_for_machines(&fig1_pair(), 2)
             .unwrap();
@@ -1202,10 +1129,7 @@ mod tests {
 
     #[test]
     fn tiny_cache_bound_evicts_instead_of_growing() {
-        let mut session = FusionConfig::new()
-            .engine(Engine::Sequential)
-            .cache(CachePolicy::Bounded(32))
-            .build();
+        let mut session = FusionConfig::new().cache(CachePolicy::Bounded(32)).build();
         let (product, _) = session
             .generate_fusion_for_machines(&fig1_pair(), 2)
             .unwrap();
@@ -1264,91 +1188,43 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_spawn_sessions_match_the_sequential_engine() {
-        let machines = fig1_pair();
-        for engine in [Engine::Pooled, Engine::Spawn] {
-            let mut session = FusionConfig::new().engine(engine).workers(2).build();
-            let (product, fusion) = session.generate_fusion_for_machines(&machines, 2).unwrap();
-            let originals = projection_partitions(&product);
-            let seq = generate_fusion_seq(product.top(), &originals, 2).unwrap();
-            assert_eq!(fusion.partitions, seq.partitions, "{engine:?}");
-            assert_eq!(
-                fusion.stats.candidates_examined, seq.stats.candidates_examined,
-                "{engine:?}"
-            );
-            // Back-to-back call on the retained pool handle.
-            let again = session
-                .generate_fusion(product.top(), &originals, 2)
-                .unwrap();
-            assert_eq!(again.partitions, seq.partitions, "{engine:?}");
-        }
-    }
-
-    #[test]
     fn session_lattice_and_lower_cover_match_free_functions() {
-        let machines = fig1_pair();
-        for engine in [Engine::Sequential, Engine::Pooled] {
-            let mut session = FusionConfig::new().engine(engine).workers(2).build();
-            let product = session.build_product(&machines).unwrap();
-            let top = product.top();
-            let lattice = session.enumerate_lattice(top, 500).unwrap();
-            let free = crate::lattice::enumerate_lattice(top, 500).unwrap();
-            assert_eq!(lattice.elements, free.elements, "{engine:?}");
-            assert_eq!(lattice.truncated, free.truncated, "{engine:?}");
-            let top_p = Partition::singletons(top.size());
-            assert_eq!(
-                session.lower_cover(top, &top_p).unwrap(),
-                crate::lattice::lower_cover(top, &top_p).unwrap(),
-                "{engine:?}"
-            );
-        }
+        let mut session = FusionConfig::new().build();
+        let product = session.build_product(&fig1_pair()).unwrap();
+        let top = product.top();
+        let lattice = session.enumerate_lattice(top, 500).unwrap();
+        let free = crate::lattice::enumerate_lattice(top, 500).unwrap();
+        assert_eq!(lattice.elements, free.elements);
+        assert_eq!(lattice.truncated, free.truncated);
+        let top_p = Partition::singletons(top.size());
+        assert_eq!(
+            session.lower_cover(top, &top_p).unwrap(),
+            crate::lattice::lower_cover(top, &top_p).unwrap()
+        );
     }
 
     #[test]
-    fn poisoned_pooled_session_surfaces_the_worker_id_and_rebuilds() {
-        let machines = fig1_pair();
-        let config = FusionConfig::new().engine(Engine::Pooled).workers(2);
-        let mut session = config.clone().build();
-        let (product, first) = session.generate_fusion_for_machines(&machines, 1).unwrap();
-        let originals = projection_partitions(&product);
-
-        // Poison the session's own pool handle with a candidate whose block
-        // indices are out of range — the worker contains the panic and
-        // reports which thread it was.
-        let pool = session
-            .ctx
-            .as_mut()
-            .and_then(|c| c.pool.as_mut())
-            .expect("pooled session holds a pool handle");
-        let current = Arc::new(Partition::singletons(product.size()));
-        let weakest = Arc::new(Vec::new());
-        let err = pool.eval_batch(&current, &weakest, &[(0, 999, 1000)]);
-        let worker = match err {
-            Err(FusionError::WorkerPanicked { worker }) => worker,
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        };
-        assert!(worker < 2);
-
-        // The same session keeps working (the pool survives a contained
-        // panic)...
-        let after = session
-            .generate_fusion(product.top(), &originals, 1)
-            .unwrap();
-        assert_eq!(after.partitions, first.partitions);
-
-        // ...and a session rebuilt from the same config is fully usable.
-        let mut rebuilt = config.build();
-        let again = rebuilt
-            .generate_fusion(product.top(), &originals, 1)
-            .unwrap();
-        assert_eq!(again.partitions, first.partitions);
-        let par = generate_fusion_par(product.top(), &originals, 1, 2).unwrap();
-        assert_eq!(again.partitions, par.partitions);
+    fn installing_an_empty_machine_set_fails_and_installs_nothing() {
+        let mut session = FusionConfig::new().build();
+        assert!(matches!(
+            session.install_top(&[]),
+            Err(FusionError::Dfsm(fsm_dfsm::DfsmError::NoMachines))
+        ));
+        assert!(session.top_product().is_none());
+        assert!(session.top_machines().is_none());
+        assert!(matches!(
+            session.generate_fusion_for_machines(&[], 1),
+            Err(FusionError::Dfsm(fsm_dfsm::DfsmError::NoMachines))
+        ));
+        assert!(matches!(
+            crate::generate::generate_fusion_for_machines(&[], 1),
+            Err(FusionError::Dfsm(fsm_dfsm::DfsmError::NoMachines))
+        ));
     }
 
     #[test]
     fn update_top_add_matches_cold_session_and_reuses_layers() {
-        let mut warm = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut warm = FusionConfig::new().build();
         warm.install_top(&fig1_pair()).unwrap();
         let before = warm.generate_top_fusion(1).unwrap();
         assert_eq!(before.machine_sizes(), vec![3]);
@@ -1365,7 +1241,7 @@ mod tests {
 
         let mut machines = fig1_pair();
         machines.push(counter("c", "0", 3));
-        let mut cold = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut cold = FusionConfig::new().build();
         cold.install_top(&machines).unwrap();
         for f in 1..=2 {
             let w = warm.generate_top_fusion(f).unwrap();
@@ -1393,7 +1269,7 @@ mod tests {
     fn update_top_remove_matches_cold_session() {
         let mut machines = fig1_pair();
         machines.push(counter("c", "0", 4));
-        let mut warm = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut warm = FusionConfig::new().build();
         warm.install_top(&machines).unwrap();
         warm.generate_top_fusion(1).unwrap();
 
@@ -1403,7 +1279,7 @@ mod tests {
         assert_eq!(warm.top_machines().unwrap().len(), 2);
         assert_eq!(warm.top_product().unwrap().size(), 9);
 
-        let mut cold = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut cold = FusionConfig::new().build();
         cold.install_top(&fig1_pair()).unwrap();
         let w = warm.generate_top_fusion(2).unwrap();
         let c = cold.generate_top_fusion(2).unwrap();
@@ -1417,7 +1293,7 @@ mod tests {
 
     #[test]
     fn update_top_extend_is_a_documented_cold_rebuild() {
-        let mut warm = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut warm = FusionConfig::new().build();
         warm.install_top(&fig1_pair()).unwrap();
         warm.generate_top_fusion(1).unwrap();
         let stats = warm
@@ -1430,7 +1306,7 @@ mod tests {
         assert!(stats.graph_rebuilt, "{stats}");
         assert_eq!(warm.top_product().unwrap().size(), 12);
 
-        let mut cold = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut cold = FusionConfig::new().build();
         cold.install_top(&[counter("a", "0", 4), counter("b", "1", 3)])
             .unwrap();
         let w = warm.generate_top_fusion(1).unwrap();
@@ -1440,7 +1316,7 @@ mod tests {
 
     #[test]
     fn update_top_rejects_bad_deltas_and_leaves_the_top_installed() {
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         assert!(matches!(
             session.update_top(TopDelta::RemoveMachine(0)),
             Err(FusionError::InvalidDelta(_))

@@ -27,11 +27,11 @@
 //! ## Quickstart
 //!
 //! The recommended entry point is a [`fusion::FusionSession`] built from a
-//! [`fusion::FusionConfig`]: engine, worker count, product strategy and
-//! cache policy are resolved once (the environment is only the `Auto`
-//! fallback, via [`fusion::FusionConfig::from_env`]), and the session
-//! reuses scratch buffers, its worker-pool handle and a cross-call closure
-//! cache over every generation.
+//! [`fusion::FusionConfig`]: product strategy, sizing knobs and cache
+//! policy are resolved once (the environment is only the sizing fallback,
+//! via [`fusion::FusionConfig::from_env`]), and the session reuses its
+//! closure kernel, scratch buffers and a cross-call closure cache over
+//! every generation.
 //!
 //! ```
 //! use fsm_fusion::prelude::*;
@@ -40,7 +40,7 @@
 //! // backup, tolerate one crash fault.  One session serves the whole
 //! // pipeline (and any number of systems after this one).
 //! let machines = fig1_machines();
-//! let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+//! let mut session = FusionConfig::new().build();
 //! let mut system =
 //!     FusedSystem::with_session(&machines, 1, FaultModel::Crash, &mut session).unwrap();
 //! system.apply_workload(&Workload::from_bits("0110100101"));
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn facade_session_surface_composes() {
         let machines = crate::machines::fig1_machines();
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         let (product, fusion) = session.generate_fusion_for_machines(&machines, 1).unwrap();
         assert_eq!(product.size(), 9);
         assert_eq!(fusion.machine_sizes(), vec![3]);

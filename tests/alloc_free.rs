@@ -12,23 +12,36 @@
 //! `BENCH_fusion.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fsm_fusion::fusion::{CloseScratch, ClosureKernel, FaultGraph, Partition};
 use fsm_fusion::prelude::*;
 
 /// Forwards to the system allocator, counting every allocation and
-/// reallocation (deallocations are free to happen — the property under test
-/// is "no new memory is requested").
+/// reallocation made on the calling thread (deallocations are free to
+/// happen — the property under test is "no new memory is requested").
+///
+/// The count is per thread because the loops under test are
+/// single-threaded: the test harness allocates on its own threads at any
+/// moment (spawning the next test, printing results), and a process-wide
+/// count picked those up whenever they landed inside a measured window.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized with no destructor, so touching it from inside the
+    // allocator never allocates and never runs into a torn-down slot.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: defers entirely to `System`; the counter update has no other
 // side effect.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -37,12 +50,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,12 +63,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The counter is process-global, so tests in this binary must not run
-/// concurrently — each takes this lock for its whole body.
-static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
+/// Allocations made so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A pair of interacting counters giving a 27-state `⊤` whose descent
@@ -90,7 +100,6 @@ fn workload() -> (ReachableProduct, Vec<Partition>) {
 
 #[test]
 fn close_merged_into_is_allocation_free_after_warm_up() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (product, originals) = workload();
     let top = product.top();
     let n = top.size();
@@ -143,7 +152,6 @@ fn close_merged_into_is_allocation_free_after_warm_up() {
 
 #[test]
 fn scratch_descent_from_a_coarser_partition_stays_allocation_free() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // The descent does not only close singleton merges: re-run the sweep
     // from a coarser closed partition (fewer, larger blocks), which
     // exercises the first_of_block reuse across shrinking block counts.

@@ -11,6 +11,10 @@
 //! histograms, tolerance bounds, and `speculate` — is bit-identical across
 //! both representations and equal to the preserved element-scan reference,
 //! including across the automatic density crossover.
+//!
+//! The incrementally maintained `dmin` / weakest-edge / speculation
+//! trackers are pinned the same way: against their full-rescan `*_scan`
+//! twins under arbitrary interleavings of machine additions and queries.
 
 use fsm_fusion::fusion::fault_graph::{SPARSE_DENSITY_DIV, SPARSE_MIN_EDGES};
 use fsm_fusion::fusion::{FaultGraph, Partition, WeightRepr};
@@ -134,6 +138,39 @@ proptest! {
             prop_assert_eq!(bulk.representation(), repr);
             assert_graphs_identical(&incremental, &bulk)?;
         }
+    }
+
+    /// Incremental `dmin` / weakest-edge / speculation queries agree with
+    /// the full rescans at every step of an interleaved add/query sequence,
+    /// and a bulk build agrees with the same machines added one at a time.
+    #[test]
+    fn incremental_trackers_agree_with_rescans(
+        seed in 0u64..100_000,
+        n in 2usize..120,
+        blocks in 1usize..9,
+        adds in 1usize..6,
+    ) {
+        let machines: Vec<Partition> = (0..adds)
+            .map(|i| random_partition(seed.wrapping_add(i as u64 * 101), n, blocks))
+            .collect();
+        let mut g = FaultGraph::new(n);
+        prop_assert_eq!(g.dmin(), g.dmin_scan());
+        for (step, p) in machines.iter().enumerate() {
+            g.add_machine(p);
+            prop_assert_eq!(g.dmin(), g.dmin_scan());
+            prop_assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+            // Speculation against a fresh random candidate and against a
+            // machine already in the graph.
+            let candidate = random_partition(seed ^ ((step as u64) << 7), n, blocks);
+            for c in [&candidate, p] {
+                prop_assert_eq!(g.speculate(c), g.addition_increases_dmin_scan(c));
+                prop_assert_eq!(g.speculate(c), g.speculate_bitset(&c.to_bitset()));
+            }
+        }
+        let bulk = FaultGraph::from_partitions(n, &machines);
+        prop_assert_eq!(bulk.dmin(), g.dmin());
+        prop_assert_eq!(bulk.weakest_edges(), g.weakest_edges());
+        prop_assert_eq!(bulk.weight_histogram(), g.weight_histogram());
     }
 
     /// The density-estimate selection rule: sparse is chosen exactly when

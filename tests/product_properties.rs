@@ -3,13 +3,12 @@
 //!
 //! `ReachableProduct` now interns states through packed mixed-radix `u64`
 //! keys (dense table or key hash map) with flat pre-resolved successor
-//! tables and optional frontier-chunked parallel expansion; the seed
-//! tuple-keyed BFS is preserved as `ReachableProduct::new_reference`.  This
-//! suite checks, for random machine families, that every observable of the
-//! packed sequential and packed parallel builds — size, state names,
-//! component tuples, the full transition table, `find_tuple` over the whole
-//! (reachable or not) tuple space, and the projection blocks the fusion
-//! layer consumes — is bit-identical to the reference build.
+//! tables; the seed tuple-keyed BFS is preserved as
+//! `ReachableProduct::new_reference`.  This suite checks, for random
+//! machine families, that every observable of the packed build — size,
+//! state names, component tuples, the full transition table, `find_tuple`
+//! over the whole (reachable or not) tuple space, and the projection blocks
+//! the fusion layer consumes — is bit-identical to the reference build.
 
 use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
 use fsm_fusion::prelude::*;
@@ -88,42 +87,19 @@ fn assert_find_tuple_sweep(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Packed sequential and frontier-chunked parallel builds equal the
-    /// reference build in every observable, including `find_tuple` over
-    /// every tuple of the full product (reachable or not) and one
-    /// out-of-range probe.
+    /// The packed build equals the reference build in every observable,
+    /// including `find_tuple` over every tuple of the full product
+    /// (reachable or not) and one out-of-range probe.
     #[test]
     fn packed_and_parallel_products_match_reference(
         seed in 0u64..100_000,
         count in 1usize..4,
-        workers in 2usize..5,
     ) {
         let machines = machine_family(seed, count);
         let reference = ReachableProduct::new_reference(&machines).unwrap();
-        let packed = ReachableProduct::with_workers(&machines, 1).unwrap();
-        let parallel = ReachableProduct::with_workers(&machines, workers).unwrap();
+        let packed = ProductBuilder::new().build(&machines).unwrap();
         assert_products_identical(&reference, &packed)?;
-        assert_products_identical(&reference, &parallel)?;
-
-        // find_tuple agreement over the whole full product: enumerate every
-        // combination via mixed-radix counting.
-        let sizes: Vec<usize> = machines.iter().map(|m| m.size()).collect();
-        let full: usize = sizes.iter().product();
-        for mut code in 0..full {
-            let tuple: Vec<StateId> = sizes
-                .iter()
-                .map(|&s| {
-                    let c = StateId(code % s);
-                    code /= s;
-                    c
-                })
-                .collect();
-            prop_assert_eq!(packed.find_tuple(&tuple), reference.find_tuple(&tuple));
-            prop_assert_eq!(
-                parallel.find_tuple(&tuple),
-                reference.find_tuple(&tuple)
-            );
-        }
+        assert_find_tuple_sweep(&reference, &packed, &machines)?;
         // Out-of-range components are rejected, never aliased into a key.
         let mut bogus: Vec<StateId> = machines.iter().map(|m| StateId(m.size())).collect();
         prop_assert_eq!(packed.find_tuple(&bogus), None);
@@ -133,11 +109,6 @@ proptest! {
         prop_assert_eq!(packed.find_tuple(&[]), None);
     }
 
-    /// The env-dispatching constructor agrees with the reference too (it
-    /// routes through the packed builder whatever `FSM_FUSION_WORKERS`
-    /// says), and the downstream fusion pipeline sees identical inputs:
-    /// projection partitions built from packed and reference products are
-    /// equal.
     /// The streaming builder — both with the roomy default budget and with
     /// a tiny one that forces the map interner and page spilling on larger
     /// products — equals the reference build in every observable.
@@ -189,6 +160,9 @@ proptest! {
         prop_assert_eq!(capped.find_tuple(&[]), None);
     }
 
+    /// The env-reading constructor agrees with the reference too, and the
+    /// downstream fusion pipeline sees identical inputs: projection
+    /// partitions built from packed and reference products are equal.
     #[test]
     fn projection_partitions_are_engine_independent(seed in 0u64..100_000) {
         let machines = machine_family(seed, 2);

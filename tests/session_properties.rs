@@ -2,31 +2,29 @@
 //! functions, and the closure cache to bit-identical cached/cold runs.
 //!
 //! The session path owns state the free functions re-derive per call
-//! (kernel, scratch, pool handle, closure + fault-graph cache), so the
-//! properties here are the contract that lets the old entry points become
-//! thin shims:
+//! (kernel, scratch, closure + fault-graph cache), so the properties here
+//! are the contract that lets the old entry points become thin shims:
 //!
-//! * session `generate_fusion` — on every engine, with the cache warm or
-//!   cold — returns exactly `generate_fusion_seq`'s partitions, machines
-//!   and statistics (everything but wall-clock time), across repeated `f`
-//!   sweeps on one session;
+//! * session `generate_fusion` — under every cache policy, with the cache
+//!   warm or cold — returns exactly `generate_fusion_seq`'s partitions,
+//!   machines and statistics (everything but wall-clock time), across
+//!   repeated `f` sweeps on one session;
 //! * session lattice walks equal the free-function lattice walks;
 //! * every `ProductBuilder` strategy builds the identical product;
 //! * the cache-hit counters behave deterministically: a repeated sweep is
 //!   answered entirely from the cache (the `tests/alloc_free.rs`-style
 //!   steady-state assertion), and the config precedence rules pin
-//!   explicit > environment > auto-detect.
+//!   explicit > environment > default.
 
 use fsm_fusion::fusion::{
-    enumerate_lattice, generate_fusion_seq, projection_partitions, Engine, FusionConfig,
-    FusionSession,
+    enumerate_lattice, generate_fusion_seq, projection_partitions, FusionConfig, FusionSession,
 };
 use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
 
 /// A small random machine pair over the shared binary alphabet, matching
-/// the families the parallel/bitset property suites use.
+/// the families the bitset property suite uses.
 fn machine_family(seed: u64) -> Vec<Dfsm> {
     (0..2)
         .map(|i| {
@@ -71,24 +69,25 @@ fn assert_same_generation(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every engine's session path, swept over `f` twice on one session
-    /// (cold cache, then warm cache), is bit-identical to the cold
-    /// free-function path — reports, stats and partitions.
+    /// The session path under every cache policy, swept over `f` twice on
+    /// one session (cold cache, then warm cache), is bit-identical to the
+    /// cold free-function path — reports, stats and partitions.
     #[test]
-    fn session_sweeps_are_bit_identical_to_cold_runs(
-        seed in 0u64..50_000,
-        workers in 1usize..4,
-    ) {
+    fn session_sweeps_are_bit_identical_to_cold_runs(seed in 0u64..50_000) {
         let machines = machine_family(seed);
         let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
-        for engine in [Engine::Sequential, Engine::Pooled] {
-            let mut session = FusionConfig::new().engine(engine).workers(workers).build();
+        for policy in [
+            CachePolicy::Disabled,
+            CachePolicy::default(),
+            CachePolicy::Bounded(64),
+        ] {
+            let mut session = FusionConfig::new().cache(policy).build();
             for sweep in 0..2 {
                 for f in 1..=3usize {
                     let cold = generate_fusion_seq(product.top(), &originals, f).unwrap();
                     let warm = session.generate_fusion(product.top(), &originals, f).unwrap();
-                    assert_same_generation(&warm, &cold, &format!("{engine:?} sweep {sweep} f {f}"));
+                    assert_same_generation(&warm, &cold, &format!("{policy:?} sweep {sweep} f {f}"));
                 }
             }
         }
@@ -102,12 +101,11 @@ proptest! {
         let machines = machine_family(seed);
         let reference = ReachableProduct::new_reference(&machines).unwrap();
         for strategy in [
-            ProductStrategy::Auto,
             ProductStrategy::Packed,
-            ProductStrategy::Parallel,
+            ProductStrategy::Streaming,
             ProductStrategy::Reference,
         ] {
-            let session = FusionConfig::new().product(strategy).workers(2).build();
+            let session = FusionConfig::new().product(strategy).build();
             let product = session.build_product(&machines).unwrap();
             assert_eq!(product.size(), reference.size(), "{strategy:?}");
             for t in 0..product.size() {
@@ -136,7 +134,7 @@ proptest! {
         let machines = machine_family(seed);
         let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         // Warm the cache with a generation first — lattice closures must
         // coexist with descent closures in the same cache.
         session.generate_fusion(product.top(), &originals, 1).unwrap();
@@ -154,7 +152,7 @@ proptest! {
 #[test]
 fn repeated_sweep_is_answered_entirely_from_the_cache() {
     let machines = fig1_machines();
-    let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+    let mut session = FusionConfig::new().build();
     let (product, _) = session.generate_fusion_for_machines(&machines, 1).unwrap();
     let originals = projection_partitions(&product);
 
@@ -203,7 +201,7 @@ fn repeated_sweep_is_answered_entirely_from_the_cache() {
 #[test]
 fn update_top_remaps_instead_of_clearing() {
     let machines = fig1_machines();
-    let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+    let mut session = FusionConfig::new().build();
     session.install_top(&machines).unwrap();
     for f in 1..=2 {
         session.generate_top_fusion(f).unwrap();
@@ -242,35 +240,31 @@ fn update_top_remaps_instead_of_clearing() {
     );
 }
 
-/// Engine-config precedence regression: explicit > environment snapshot >
-/// auto-detect, for both the worker count and the engine, via the pure
-/// `from_env_values` resolution (no process-environment mutation).
+/// Config precedence regression: explicit > environment snapshot >
+/// default for the product-builder sizing knobs, via the pure
+/// `from_env_values` resolution (no process-environment mutation), and the
+/// session builds with what the config resolves to.
 #[test]
 fn config_precedence_is_explicit_then_env_then_auto() {
-    // Auto-detect floor: nothing configured → 1 worker, sequential.
+    use fsm_fusion::dfsm::{DEFAULT_DENSE_LIMIT, DEFAULT_MEM_BUDGET};
+
+    // Default floor: nothing configured.
     let auto = FusionConfig::new();
-    assert_eq!(auto.resolved_workers(), 1);
-    assert_eq!(auto.resolved_engine(), Engine::Sequential);
+    assert_eq!(auto.resolved_dense_limit(), DEFAULT_DENSE_LIMIT);
+    assert_eq!(auto.resolved_mem_budget(), DEFAULT_MEM_BUDGET);
+    assert_eq!(auto.resolved_product(), ProductStrategy::Packed);
 
-    // Environment beats auto-detect.
-    let env = FusionConfig::from_env_values(None, Some("4"), None, None);
-    assert_eq!(env.resolved_workers(), 4);
-    assert_eq!(env.resolved_engine(), Engine::Pooled);
+    // Environment beats the default.
+    let env = FusionConfig::from_env_values(Some("1k"), Some("2m"));
+    assert_eq!(env.resolved_dense_limit(), 1 << 10);
+    assert_eq!(env.resolved_mem_budget(), 2 << 20);
 
-    // Explicit beats environment — for workers...
-    let explicit = FusionConfig::from_env_values(None, Some("4"), None, None).workers(2);
-    assert_eq!(explicit.resolved_workers(), 2);
-    // ...and for the engine, even when the env variables disagree.
-    let explicit = FusionConfig::from_env_values(Some("pooled"), Some("8"), None, None)
-        .engine(Engine::Sequential);
-    assert_eq!(explicit.resolved_engine(), Engine::Sequential);
-    let session = explicit.build();
-    assert_eq!(session.engine(), Engine::Sequential);
-
-    // The env engine variable beats the worker-count auto-detection.
-    let env = FusionConfig::from_env_values(Some("sequential"), Some("8"), None, None);
-    assert_eq!(env.resolved_engine(), Engine::Sequential);
-    assert_eq!(env.resolved_workers(), 8);
+    // Explicit beats environment.
+    let explicit = env.dense_limit(7).mem_budget(1 << 16);
+    assert_eq!(explicit.resolved_dense_limit(), 7);
+    assert_eq!(explicit.resolved_mem_budget(), 1 << 16);
+    let session = explicit.product(ProductStrategy::Streaming).build();
+    assert_eq!(session.product_strategy(), ProductStrategy::Streaming);
 }
 
 /// The legacy free functions and system constructors remain available and
@@ -279,7 +273,7 @@ fn config_precedence_is_explicit_then_env_then_auto() {
 #[test]
 fn facade_shims_agree_with_sessions_end_to_end() {
     let machines = fig1_machines();
-    let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+    let mut session = FusionConfig::new().build();
 
     let (product, via_session) = session.generate_fusion_for_machines(&machines, 1).unwrap();
     let (product_legacy, via_legacy) = generate_fusion_for_machines(&machines, 1).unwrap();
