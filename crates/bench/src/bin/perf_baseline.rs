@@ -4,9 +4,10 @@
 //!
 //! Times the partition operations, the fault-graph build, the incremental
 //! fault-graph trackers, the Algorithm-2 search at several `⊤` state
-//! counts and the reachable-product construction (packed, reference) with
-//! small fixed iteration counts, and emits `BENCH_fusion.json` (see
-//! README.md for the format).  Every optimized kernel is measured next to
+//! counts and on Table 1's MESI/TCP/A/B row, and the reachable-product
+//! construction (packed, reference) with small fixed iteration counts,
+//! and emits `BENCH_fusion.json` (see README.md for the format).  Every
+//! optimized kernel is measured next to
 //! its pre-refactor twin (`*_scan`, from `fsm_fusion_core::reference` or
 //! the tuple-keyed `ReachableProduct::new_reference`), the session's warm
 //! closure cache (`alg2_sweep_cached_*`) next to the cold free-function
@@ -56,6 +57,7 @@ use fsm_fusion_core::{
     generate_fusion_seq, projection_partitions, FaultGraph, FaultModel, FusionConfig,
     MachineReport, Partition, TopDelta,
 };
+use fsm_machines::{fig2_machine_a, fig2_machine_b, mesi, tcp};
 
 /// Regression threshold for `--check`: calibration-normalized ns/op may grow
 /// by at most this factor before the run fails.
@@ -317,6 +319,21 @@ fn measure_all() -> Vec<Measurement> {
             reference::generate_fusion_scan(top, &originals, 2).unwrap()
         });
         push(scan_name, scan_iters, ns);
+    }
+
+    // Algorithm-2 search on Table 1's MESI/TCP/A/B row (|⊤| = 176, f = 1).
+    // The counter family above descends on its first candidate at every
+    // level; here every merge of ⊤ fails the weakest-edge test, so the op
+    // times the pre-filter that rules those merges out before closing them.
+    {
+        let machines = vec![mesi(), tcp(), fig2_machine_a(), fig2_machine_b()];
+        let product = ReachableProduct::new(&machines).unwrap();
+        assert_eq!(product.size(), 176);
+        let originals = projection_partitions(&product);
+        let top = product.top();
+        let iters = 20;
+        let ns = bench(iters, || generate_fusion_seq(top, &originals, 1).unwrap());
+        push("alg2_search_mesi_tcp_n176_f1", iters, ns);
     }
 
     // Reachable-product construction at |⊤| = 729: the packed mixed-radix

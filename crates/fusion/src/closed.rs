@@ -172,6 +172,8 @@ impl ClosureKernel {
     /// (`tests/alloc_free.rs` pins the property with a counting allocator).
     /// `out`'s previous contents are overwritten; equal `b1`/`b2` make the
     /// extra merge a no-op, so the call then computes the plain closure.
+    /// A block index past `partition`'s last block is rejected with
+    /// [`FusionError::InvalidPartition`].
     pub fn close_merged_into(
         &self,
         scratch: &mut CloseScratch,
@@ -186,6 +188,12 @@ impl ClosureKernel {
                 actual: partition.len(),
             });
         }
+        if b1.max(b2) >= partition.num_blocks() {
+            return Err(FusionError::InvalidPartition(format!(
+                "cannot merge blocks {b1} and {b2} of a partition with {} blocks",
+                partition.num_blocks()
+            )));
+        }
         let uf = &mut scratch.uf;
         uf.reset(self.n);
         let first_of_block = &mut scratch.first_of_block;
@@ -199,7 +207,7 @@ impl ClosureKernel {
                 uf.union(x, first_of_block[b]);
             }
         }
-        if b1 != b2 && first_of_block[b1] != usize::MAX && first_of_block[b2] != usize::MAX {
+        if b1 != b2 {
             uf.union(first_of_block[b1], first_of_block[b2]);
         }
         self.close_seeded_into(scratch, out);
@@ -242,6 +250,24 @@ impl ClosureKernel {
         }
         let label_of_root = &mut scratch.label_of_root;
         out.refresh_canonical_with(|buf| uf.canonical_assignment_into(label_of_root, buf));
+    }
+
+    /// Fills `out` with the transition table of the quotient machine of a
+    /// **closed** `partition`: `out[e · k + b]` is the block that every
+    /// state of block `b` moves to on event `e`, for `k` blocks.  One pass
+    /// over the flat table, O(n·|Σ|).
+    pub(crate) fn quotient_table_into(&self, partition: &Partition, out: &mut Vec<u32>) {
+        debug_assert!(partition.len() == self.n && self.is_closed(partition));
+        let k = partition.num_blocks();
+        out.clear();
+        out.resize(k * self.k, 0);
+        for e in 0..self.k {
+            let succ = &self.succ[e * self.n..(e + 1) * self.n];
+            let row = &mut out[e * k..(e + 1) * k];
+            for (x, &sx) in succ.iter().enumerate() {
+                row[partition.block_of(x)] = partition.block_of(sx as usize) as u32;
+            }
+        }
     }
 
     /// Whether `partition` is closed under the cached transition function.
@@ -471,6 +497,44 @@ mod tests {
             .close_merged(&Partition::singletons(3), 0, 1)
             .is_err());
         assert!(!kernel.is_closed(&Partition::singletons(3)));
+    }
+
+    #[test]
+    fn out_of_range_block_indices_are_rejected() {
+        let t = top4();
+        let kernel = ClosureKernel::new(&t);
+        let p = Partition::singletons(4);
+        for (b1, b2) in [(0, 7), (7, 0), (4, 4)] {
+            assert!(matches!(
+                kernel.close_merged(&p, b1, b2),
+                Err(FusionError::InvalidPartition(_))
+            ));
+            let mut out = Partition::singletons(0);
+            assert!(matches!(
+                kernel.close_merged_into(&mut CloseScratch::new(), &p, b1, b2, &mut out),
+                Err(FusionError::InvalidPartition(_))
+            ));
+        }
+        // The last block is still a valid index.
+        assert!(kernel.close_merged(&p, 0, 3).is_ok());
+    }
+
+    #[test]
+    fn quotient_table_maps_blocks_to_successor_blocks() {
+        let t = top4();
+        let kernel = ClosureKernel::new(&t);
+        let a = Partition::from_blocks(4, &[vec![0, 3], vec![1], vec![2]]).unwrap();
+        let mut q = Vec::new();
+        kernel.quotient_table_into(&a, &mut q);
+        let m = quotient_machine(&t, &a, "A").unwrap();
+        for e in 0..2 {
+            for b in 0..3 {
+                assert_eq!(
+                    q[e * 3 + b] as usize,
+                    m.next(StateId(b), EventId(e)).index()
+                );
+            }
+        }
     }
 
     #[test]

@@ -127,8 +127,12 @@ pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<
 /// (`tests/alloc_free.rs` pins this with a counting allocator).  A
 /// block-level pre-filter — a merge of the two blocks joined by a weakest
 /// edge can never cover that edge, whatever the closure adds — skips
-/// provably failing candidates before their closure fixpoint runs, with
-/// [`GenerationStats`] counters kept identical to the unfiltered loop.
+/// provably failing candidates before their closure fixpoint runs.  After
+/// the first candidate of a level that passes the filter and still fails,
+/// the filter is propagated back through the quotient of the current
+/// machine, so it also skips every merge whose closure is forced to merge
+/// a filtered pair.  The [`GenerationStats`] counters stay identical to
+/// the unfiltered loop.
 pub fn generate_fusion_seq(
     top: &Dfsm,
     originals: &[Partition],
@@ -140,15 +144,16 @@ pub fn generate_fusion_seq(
         originals,
         f,
         &mut CloseScratch::new(),
+        &mut DoomedPairs::default(),
         None,
     )
 }
 
 /// The sequential engine body: the greedy descent against a caller-owned
-/// kernel, scratch and (optionally) closure cache.  [`generate_fusion_seq`]
-/// passes fresh buffers and no cache; [`crate::FusionSession`] threads its
-/// own through, so repeated searches reuse warm buffers and cached
-/// closures.  A cache hit replaces the closure fixpoint with one buffer
+/// kernel, scratch buffers and (optionally) closure cache.
+/// [`generate_fusion_seq`] passes fresh buffers and no cache;
+/// [`crate::FusionSession`] threads its own through, so repeated searches
+/// reuse warm buffers and cached closures.  A cache hit replaces the closure fixpoint with one buffer
 /// copy and never changes the result or the statistics.
 pub(crate) fn seq_engine(
     top: &Dfsm,
@@ -156,6 +161,7 @@ pub(crate) fn seq_engine(
     originals: &[Partition],
     f: usize,
     scratch: &mut CloseScratch,
+    doomed: &mut DoomedPairs,
     mut cache: Option<&mut ClosureCache>,
 ) -> Result<FusionGeneration> {
     let start = Instant::now();
@@ -174,7 +180,6 @@ pub(crate) fn seq_engine(
     // Search-lifetime buffers: every candidate closure of every descent of
     // every outer iteration reuses these.
     let mut candidate = Partition::singletons(n);
-    let mut forbidden = PairBits::default();
     let mut current_bits = BitsetPartition::singletons(0);
 
     // Loop invariant: `graph` is the fault graph of originals ∪ partitions.
@@ -209,15 +214,15 @@ pub(crate) fn seq_engine(
             let total_pairs = k * k.saturating_sub(1) / 2;
             // Pre-filter: merging the two blocks joined by a weakest edge
             // leaves that edge unseparated no matter what the closure adds,
-            // so the pair is skipped without running the fixpoint.  The
-            // examined-candidate counter still counts skipped pairs (they
-            // are "examined" at block level), so the statistics are
-            // bit-identical to the unfiltered descent.
-            forbidden.reset(k);
-            for &(i, j) in &weakest {
-                let (a, b) = (current.block_of(i), current.block_of(j));
-                forbidden.set(a.min(b), a.max(b));
-            }
+            // so the pair is skipped without running the fixpoint.  Once a
+            // candidate that passed the filter fails, the filter is widened
+            // to every merge whose closure is forced through a filtered one
+            // (see `DoomedPairs`); levels whose first candidate succeeds
+            // never pay for that.  The examined-candidate counter still
+            // counts skipped pairs (they are "examined" at block level), so
+            // the statistics are bit-identical to the unfiltered descent.
+            doomed.reset(&current, &weakest);
+            let mut propagated = false;
             // One cache key per level: the merges below are all merges of
             // `current`, so the fingerprint is computed once.
             let level = cache.as_mut().and_then(|c| c.level_key(&current));
@@ -225,7 +230,7 @@ pub(crate) fn seq_engine(
             for b1 in 0..k {
                 for b2 in (b1 + 1)..k {
                     idx += 1;
-                    if forbidden.get(b1, b2) {
+                    if doomed.contains(b1, b2) {
                         continue;
                     }
                     cached_close(
@@ -242,6 +247,10 @@ pub(crate) fn seq_engine(
                         stats.candidates_examined += idx;
                         std::mem::swap(&mut current, &mut candidate);
                         continue 'descend;
+                    }
+                    if !propagated {
+                        propagated = true;
+                        doomed.propagate(kernel, &current);
                     }
                 }
             }
@@ -268,12 +277,115 @@ pub(crate) fn seq_engine(
     })
 }
 
+/// The block-level pre-filter of one descent level: pairs `(b1, b2)` of
+/// `current`'s blocks whose merge provably cannot cover every weakest
+/// edge, so their closure fixpoint is never run.
+///
+/// [`DoomedPairs::reset`] marks the direct case, the two blocks joined by
+/// a weakest edge.  [`DoomedPairs::propagate`] extends the marks backwards
+/// through the quotient of `current`.  `current` is closed, so its
+/// quotient has a transition table `q`, and the closure of merging blocks
+/// `(a, b)` also merges `(q(a, e), q(b, e))` for every event `e`: a pair
+/// with a marked successor pair is doomed as well.  The marks spread by a
+/// backward worklist over a counting-sort predecessor table of `q`, at
+/// most O(k²·|Σ|) work per level.
+///
+/// The buffers live as long as their owner: a [`crate::FusionSession`]
+/// keeps one across searches, so a warm descent allocates nothing new.
+#[derive(Debug, Default)]
+pub(crate) struct DoomedPairs {
+    bits: PairBits,
+    /// `quotient[e · k + b]`: the block that block `b` moves to on `e`.
+    quotient: Vec<u32>,
+    /// The blocks moving to block `c` on event `e` are
+    /// `preds[e · k..][pred_start[e · (k + 1) + c]..pred_start[e · (k + 1) + c + 1]]`.
+    pred_start: Vec<u32>,
+    preds: Vec<u32>,
+    worklist: Vec<(u32, u32)>,
+}
+
+impl DoomedPairs {
+    /// Clears the marks and marks the block pair of every weakest edge.
+    /// `current` covers every weakest edge, so each pair is two blocks.
+    fn reset(&mut self, current: &Partition, weakest: &[(usize, usize)]) {
+        self.bits.reset(current.num_blocks());
+        for &(i, j) in weakest {
+            let (a, b) = (current.block_of(i), current.block_of(j));
+            self.bits.insert(a.min(b), a.max(b));
+        }
+    }
+
+    /// Whether merging blocks `b1 < b2` is known to fail.
+    fn contains(&self, b1: usize, b2: usize) -> bool {
+        self.bits.get(b1, b2)
+    }
+
+    /// Marks every pair of `current`'s blocks from which the quotient's
+    /// pair graph `(a, b) → (q(a, e), q(b, e))` reaches a marked pair.
+    fn propagate(&mut self, kernel: &ClosureKernel, current: &Partition) {
+        let DoomedPairs {
+            bits,
+            quotient,
+            pred_start,
+            preds,
+            worklist,
+        } = self;
+        let k = current.num_blocks();
+        let events = kernel.num_events();
+        kernel.quotient_table_into(current, quotient);
+        pred_start.clear();
+        pred_start.resize(events * (k + 1), 0);
+        preds.clear();
+        preds.resize(events * k, 0);
+        for e in 0..events {
+            let q = &quotient[e * k..(e + 1) * k];
+            let start = &mut pred_start[e * (k + 1)..(e + 1) * (k + 1)];
+            for &c in q {
+                start[c as usize] += 1;
+            }
+            for c in 1..=k {
+                start[c] += start[c - 1];
+            }
+            let row = &mut preds[e * k..(e + 1) * k];
+            for (a, &c) in q.iter().enumerate().rev() {
+                start[c as usize] -= 1;
+                row[start[c as usize] as usize] = a as u32;
+            }
+        }
+
+        worklist.clear();
+        for b1 in 0..k {
+            for b2 in (b1 + 1)..k {
+                if bits.get(b1, b2) {
+                    worklist.push((b1 as u32, b2 as u32));
+                }
+            }
+        }
+        while let Some((c, d)) = worklist.pop() {
+            let (c, d) = (c as usize, d as usize);
+            for e in 0..events {
+                let start = &pred_start[e * (k + 1)..(e + 1) * (k + 1)];
+                let row = &preds[e * k..(e + 1) * k];
+                // `c != d`, so their predecessor sets are disjoint.
+                for &a in &row[start[c] as usize..start[c + 1] as usize] {
+                    for &b in &row[start[d] as usize..start[d + 1] as usize] {
+                        let (x, y) = (a.min(b), a.max(b));
+                        if bits.insert(x as usize, y as usize) {
+                            worklist.push((x, y));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Flat upper-triangular bit set over block pairs `(b1, b2)`, `b1 < b2 <
 /// k`, reused across descent levels: marking the pairs joined by a weakest
 /// edge costs two array reads and a bit-set per edge, far cheaper than the
 /// hash set the same filter would otherwise need at `|⊤|`-sized weakest
 /// sets.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct PairBits {
     words: Vec<u64>,
     k: usize,
@@ -294,9 +406,13 @@ impl PairBits {
         b1 * self.k - b1 * (b1 + 1) / 2 + (b2 - b1 - 1)
     }
 
-    fn set(&mut self, b1: usize, b2: usize) {
+    /// Marks `(b1, b2)`; returns whether it was unmarked before.
+    fn insert(&mut self, b1: usize, b2: usize) -> bool {
         let idx = self.index(b1, b2);
-        self.words[idx / 64] |= 1u64 << (idx % 64);
+        let (word, bit) = (&mut self.words[idx / 64], 1u64 << (idx % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 
     fn get(&self, b1: usize, b2: usize) -> bool {
@@ -471,9 +587,9 @@ mod tests {
         assert!(fusion.stats.elapsed_micros > 0);
     }
 
-    #[test]
-    fn generate_fusion_with_explicit_partitions() {
-        // Use the 4-state reconstruction of Fig. 2/3 directly.
+    /// The 4-state reconstruction of Fig. 2/3 with its machines
+    /// A = {t0,t3 | t1 | t2} and B = {t0 | t1 | t2,t3}.
+    fn fig2_top_and_machines() -> (Dfsm, Vec<Partition>) {
         let mut bt = DfsmBuilder::new("top");
         bt.add_states(["t0", "t1", "t2", "t3"]);
         bt.set_initial("t0");
@@ -485,12 +601,51 @@ mod tests {
         bt.add_transition("t1", "1", "t2");
         bt.add_transition("t2", "1", "t0");
         bt.add_transition("t3", "1", "t0");
-        let top = bt.build().unwrap();
         let a = Partition::from_blocks(4, &[vec![0, 3], vec![1], vec![2]]).unwrap();
         let b = Partition::from_blocks(4, &[vec![0], vec![1], vec![2, 3]]).unwrap();
-        let fusion = generate_fusion(&top, &[a.clone(), b.clone()], 1).unwrap();
+        (bt.build().unwrap(), vec![a, b])
+    }
+
+    #[test]
+    fn generate_fusion_with_explicit_partitions() {
+        let (top, originals) = fig2_top_and_machines();
+        let fusion = generate_fusion(&top, &originals, 1).unwrap();
         assert_eq!(fusion.len(), 1);
-        let g = FaultGraph::from_partitions(4, &[a, b, fusion.partitions[0].clone()]);
+        let mut all = originals;
+        all.push(fusion.partitions[0].clone());
+        let g = FaultGraph::from_partitions(4, &all);
         assert!(g.tolerates_crash_faults(1));
+    }
+
+    #[test]
+    fn pairs_doomed_only_through_a_successor_are_never_closed() {
+        // The weakest edges of A ∪ B are (t0,t3) and (t2,t3), so the direct
+        // filter leaves four of ⊤'s six merges.  Each of them is doomed only
+        // through a successor: on event 1, merging t0,t1 forces (t3,t2) and
+        // merging t0,t2 forces (t3,t0); merging t1,t2 or t1,t3 forces
+        // (t2,t0), which is doomed one step further.  No merge of ⊤ covers
+        // the weakest edges, so the fusion is ⊤ itself.
+        let (top, originals) = fig2_top_and_machines();
+        let weakest = FaultGraph::from_partitions(4, &originals).weakest_edges();
+        assert_eq!(weakest, vec![(0, 3), (2, 3)]);
+        let left_by_direct_filter = 6 - weakest.len();
+
+        let mut session = FusionConfig::new().build();
+        let mut fast = session.generate_fusion(&top, &originals, 1).unwrap();
+        let mut slow = crate::reference::generate_fusion_scan(&top, &originals, 1).unwrap();
+        assert_eq!(fast.partitions, vec![Partition::singletons(4)]);
+        assert_eq!(fast.partitions, slow.partitions);
+        fast.stats.elapsed_micros = 0;
+        slow.stats.elapsed_micros = 0;
+        assert_eq!(fast.stats, slow.stats);
+        assert_eq!(fast.stats.candidates_examined, 6);
+        // Only the first unfiltered merge runs its fixpoint; its failure
+        // widens the filter to the other three.
+        let misses = session.cache_stats().misses;
+        assert!(
+            misses < left_by_direct_filter as u64,
+            "{misses} closures ran"
+        );
+        assert_eq!(misses, 1);
     }
 }

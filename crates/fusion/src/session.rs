@@ -8,6 +8,7 @@
 //! [`FusionConfig`] — owns all of that across calls:
 //!
 //! * one [`CloseScratch`] serving every closure of the session's lifetime,
+//!   and the buffers of the descent's block-level pre-filter,
 //! * the [`ClosureKernel`] of the current top machine, rebuilt only when
 //!   that machine actually changes,
 //! * a [`fsm_dfsm::ProductBuilder`] configuration for
@@ -64,7 +65,7 @@ use crate::config::{CachePolicy, FusionConfig, ProductStrategy};
 use crate::delta::{TopDelta, UpdateStats};
 use crate::error::{FusionError, Result};
 use crate::fault_graph::{FaultGraph, WeightRepr};
-use crate::generate::{seq_engine, FusionGeneration};
+use crate::generate::{seq_engine, DoomedPairs, FusionGeneration};
 use crate::lattice::{enumerate_lattice_impl, lower_cover_impl, ClosedPartitionLattice};
 use crate::partition::Partition;
 use crate::set_repr::projection_partitions;
@@ -542,6 +543,7 @@ pub struct FusionSession {
     config: FusionConfig,
     product: ProductStrategy,
     scratch: CloseScratch,
+    doomed: DoomedPairs,
     cache: Option<ClosureCache>,
     ctx: Option<TopContext>,
     /// The installed evolving top ([`FusionSession::install_top`]), absent
@@ -571,6 +573,7 @@ impl FusionSession {
             config,
             product,
             scratch: CloseScratch::new(),
+            doomed: DoomedPairs::default(),
             cache,
             ctx: None,
             top: None,
@@ -639,8 +642,8 @@ impl FusionSession {
         originals: &[Partition],
         f: usize,
     ) -> Result<FusionGeneration> {
-        let (kernel, scratch, cache) = self.context_for(top);
-        seq_engine(top, kernel, originals, f, scratch, cache)
+        let (kernel, scratch, doomed, cache) = self.context_for(top);
+        seq_engine(top, kernel, originals, f, scratch, doomed, cache)
     }
 
     /// The whole pipeline: builds the reachable cross product with the
@@ -661,7 +664,7 @@ impl FusionSession {
     /// The lower cover of a closed partition `p` of `top` through the
     /// session (closures come from the cache like the descent's).
     pub fn lower_cover(&mut self, top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
-        let (kernel, scratch, cache) = self.context_for(top);
+        let (kernel, scratch, _, cache) = self.context_for(top);
         lower_cover_impl(kernel, p, scratch, cache)
     }
 
@@ -672,7 +675,7 @@ impl FusionSession {
         top: &Dfsm,
         limit: usize,
     ) -> Result<ClosedPartitionLattice> {
-        let (kernel, scratch, cache) = self.context_for(top);
+        let (kernel, scratch, _, cache) = self.context_for(top);
         enumerate_lattice_impl(top, kernel, limit, scratch, cache)
     }
 
@@ -983,17 +986,27 @@ impl FusionSession {
     }
 
     /// [`FusionSession::refresh_context`] for `top`, then the kernel,
-    /// scratch and cache an engine call threads through.
+    /// scratch buffers and cache an engine call threads through.
     fn context_for(
         &mut self,
         top: &Dfsm,
-    ) -> (&ClosureKernel, &mut CloseScratch, Option<&mut ClosureCache>) {
+    ) -> (
+        &ClosureKernel,
+        &mut CloseScratch,
+        &mut DoomedPairs,
+        Option<&mut ClosureCache>,
+    ) {
         self.refresh_context(top);
         let ctx = self
             .ctx
             .as_ref()
             .expect("refresh_context installs a context");
-        (&ctx.kernel, &mut self.scratch, self.cache.as_mut())
+        (
+            &ctx.kernel,
+            &mut self.scratch,
+            &mut self.doomed,
+            self.cache.as_mut(),
+        )
     }
 
     /// Installs (or keeps) the per-machine context for `top`.  The closure

@@ -47,6 +47,39 @@ fn every_row_generates_a_fusion_no_larger_than_replication() {
     }
 }
 
+/// Backup sizes and Algorithm-2 effort per row, pinned so a change to the
+/// descent's pre-filter cannot alter which machines come out or how many
+/// candidate merges the statistics report.  The MESI/TCP/A/B row examines
+/// 15 400 candidates; every one of them but the first that passes the
+/// direct weakest-edge filter is ruled out by propagating that filter
+/// through the quotient, so at most one closure fixpoint runs.
+#[test]
+fn table1_backup_sizes_and_search_effort_are_pinned() {
+    let expected: [(&[usize], usize); 5] = [
+        (&[96, 96], 9394),
+        (&[16, 16, 32], 762),
+        (&[36, 36], 1292),
+        (&[176], 15400),
+        (&[77, 88], 6946),
+    ];
+    for (row, (sizes, examined)) in table1_rows().iter().zip(expected) {
+        let mut session = FusionConfig::new().build();
+        let (_, fusion) = session
+            .generate_fusion_for_machines(&row.machines, row.f)
+            .expect("fusion generation succeeds");
+        assert_eq!(fusion.machine_sizes(), sizes, "row `{}`", row.label);
+        assert_eq!(
+            fusion.stats.candidates_examined, examined,
+            "row `{}`",
+            row.label
+        );
+        if row.label == "MESI, TCP, A, B" {
+            let misses = session.cache_stats().misses;
+            assert!(misses <= 1, "row `{}`: {misses} closures ran", row.label);
+        }
+    }
+}
+
 #[test]
 fn backup_machine_count_matches_the_minimum_from_theorem_4() {
     for row in table1_rows() {
