@@ -352,10 +352,11 @@ fn measure_all() -> Vec<Measurement> {
         push("product_build_scan_n729", iters, ns);
     }
 
-    // Past the 10⁴ wall: the scaling workloads this PR's sharded fault
-    // graph and streaming product builder exist for.  |⊤| = 3⁸ = 6561 runs
-    // the full pipeline (packed product build, then the Algorithm-2 descent
-    // over a ~21.5M-edge fault graph with per-stripe trackers); the
+    // Past the 10⁴ wall: the scaling workloads the streaming product
+    // builder and the weakest-edge sweep exist for.  |⊤| = 3⁸ = 6561 runs
+    // the full pipeline (packed product build, then the Algorithm-2
+    // descent, whose weakest edges come from a sweep of the originals'
+    // block rows instead of a ~21.5M-edge fault graph); the
     // `peak_rss_kb` field recorded with every op documents the memory side.
     {
         let machines = counter_family(8, 3);
@@ -423,16 +424,17 @@ fn measure_all() -> Vec<Measurement> {
     }
 
     // Delta-aware re-fusion at |⊤| = 729: one add/remove cycle through
-    // `FusionSession::update_top` — product stride-extension, the fused
-    // fault-graph pullback-with-delta passes, closure-cache remap and
-    // context reinstall — against materializing the same two fusion
-    // contexts (product, projection partitions, fault graph) cold at both
-    // endpoints of the cycle.  The machine set is replication-shaped: six
-    // mod-3 counters, each deployed as four copies — the replication
-    // baseline the paper compares fusion against at three crash faults.
-    // `⊤` stays at 729 states while the cold side pays one bitset pass
-    // *per machine* (24 of them, twice) and the warm side a constant few;
-    // the cycled machine is the last replica.  The generation walk itself
+    // `FusionSession::update_top` — product stride-extension,
+    // closure-cache remap and context reinstall — against materializing
+    // the same two fusion contexts (product, projection partitions, fault
+    // graph) cold at both endpoints of the cycle.  The session no longer
+    // keeps a fault graph (Algorithm 2 sweeps the block rows instead), so
+    // the cold side's graph builds are work the warm side skips entirely.
+    // The machine set is replication-shaped: six mod-3 counters, each
+    // deployed as four copies — the replication baseline the paper
+    // compares fusion against at three crash faults.  `⊤` stays at 729
+    // states while the cold side pays one bitset pass *per machine* (24 of
+    // them, twice); the cycled machine is the last replica.  The generation walk itself
     // is excluded from both sides: `tests/delta_properties.rs` pins it
     // bit-identical, so it would only add the same constant to both
     // figures.  The `_cold` op is a documentation twin like `_scan` and
@@ -446,8 +448,8 @@ fn measure_all() -> Vec<Measurement> {
         let last = family.len() - 1;
         let mut session = FusionConfig::new().build();
         session.install_top(&family[..last]).unwrap();
-        // Prime the session's graph slot: the very first add has nothing to
-        // remap and cold-builds; every cycle after it stays warm.
+        // Prime the closure cache with one cycle, so every timed cycle
+        // remaps the same entries.
         session
             .update_top(TopDelta::AddMachine(family[last].clone()))
             .unwrap();
@@ -457,11 +459,14 @@ fn measure_all() -> Vec<Measurement> {
             let up = session
                 .update_top(TopDelta::AddMachine(family[last].clone()))
                 .unwrap();
-            assert!(!up.graph_rebuilt, "cycle must stay on the warm graph path");
+            assert!(!up.cold_rebuild, "cycle must stay on the delta path");
             assert_eq!(session.top_product().unwrap().size(), 729);
             let down = session.update_top(TopDelta::RemoveMachine(last)).unwrap();
-            assert!(!down.graph_rebuilt, "contraction must reuse the graph");
-            up.graph_stripes_touched + down.graph_stripes_touched
+            assert!(
+                !down.cold_rebuild,
+                "contraction must stay on the delta path"
+            );
+            up.product_states_reexpanded + down.product_states_reexpanded
         });
         push("alg2_update_add_machine_n729", iters, ns);
         let builder = ProductBuilder::new();

@@ -1,8 +1,8 @@
 //! `u64`-word bitset kernel for partitions (the hot-path representation).
 //!
-//! Algorithm 2 spends its time comparing partitions and updating fault-graph
-//! edge weights; both operations reduce to set algebra over blocks of `⊤`
-//! states.  This module stores each block as a row of `u64` words
+//! The fusion algorithms spend their time comparing partitions and counting,
+//! per pair of states, the machines that separate them; both reduce to set
+//! algebra over blocks of `⊤` states.  This module stores each block as a row of `u64` words
 //! ([`BlockMatrix`]) so that containment, disjointness and complement
 //! enumeration run word-at-a-time instead of element-at-a-time:
 //!
@@ -10,7 +10,8 @@
 //!   `P2` — `O(B · ⌈n/64⌉)` word operations,
 //! * [`crate::FaultGraph::add_machine`] walks, for every state `i`, the
 //!   *complement* of `i`'s block word-at-a-time to find exactly the edges
-//!   whose weight increases,
+//!   whose weight increases, and Algorithm 2's weakest-edge sweep adds
+//!   `i`'s block rows of every machine into bit-sliced per-pair counters,
 //! * the candidate-scoring loops in [`crate::search`] and [`crate::lattice`]
 //!   convert each candidate partition once and then compare it against many
 //!   others at word granularity.
@@ -229,7 +230,7 @@ impl BitsetPartition {
     /// existing row matrix and per-block buffers — the scratch-reusing twin
     /// of [`BitsetPartition::from_partition`] for loops that convert a fresh
     /// candidate partition every iteration (e.g. Algorithm 2's outer loop
-    /// handing its descent result to [`crate::FaultGraph::add_machine_bitset`]).
+    /// handing its descent result to its weakest-edge sweep).
     /// After warm-up at a stable element count this allocates nothing.
     pub fn refresh_from_partition(&mut self, p: &Partition) {
         let n = p.len();

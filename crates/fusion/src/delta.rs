@@ -6,27 +6,27 @@
 //! evolve: a machine joins, one retires, one grows a state or an event.
 //! Before this module, any such change invalidated a
 //! [`crate::FusionSession`] wholesale: the product was rebuilt from
-//! scratch, the fingerprint-keyed closure cache cleared, and Algorithm 2
-//! re-run against a cold fault graph.
+//! scratch and the fingerprint-keyed closure cache cleared.
 //!
 //! [`TopDelta`] names the three edits, and
 //! [`crate::FusionSession::update_top`] applies one *incrementally*:
 //!
 //! * **`AddMachine`** — the packed mixed-radix product interner makes one
 //!   more factor a stride extension, not a rebuild
-//!   ([`fsm_dfsm::ProductBuilder::extend_factor`]); the old fault graph is
-//!   pulled back along the projection and only the new machine's stripes
-//!   are re-scored ([`crate::FaultGraph::remap_states`] +
-//!   [`crate::FaultGraph::apply_delta`]); cached closures are *lifted*
-//!   through the projection (assignment re-indexing + fingerprint rehash,
-//!   collision-verified like every cache probe) instead of dropped.
-//! * **`RemoveMachine`** — the departing machine's weight contribution is
-//!   subtracted in place and the graph contracted onto representative
-//!   states; cached closures that are constant on the contraction fibers
-//!   are pushed forward, the rest evicted.
+//!   ([`fsm_dfsm::ProductBuilder::extend_factor`]); cached closures are
+//!   *lifted* through the projection (assignment re-indexing +
+//!   fingerprint rehash, collision-verified like every cache probe)
+//!   instead of dropped.
+//! * **`RemoveMachine`** — the smaller product is rebuilt; cached
+//!   closures that are constant on the contraction fibers are pushed
+//!   forward, the rest evicted.
 //! * **`ExtendMachine`** — a grown component changes the transition
 //!   structure itself, so the session falls back to a documented cold
 //!   rebuild ([`UpdateStats::cold_rebuild`]).
+//!
+//! No delta carries a fault graph across: the session keeps none, since
+//! Algorithm 2 sweeps the post-delta partitions for `dmin` and the
+//! weakest edges itself (see [`crate::generate`]).
 //!
 //! Every path is pinned bit-identical — fusion partitions, generation
 //! statistics, product numbering — to a cold session built on the
@@ -44,9 +44,7 @@ use fsm_dfsm::Dfsm;
 #[derive(Debug, Clone)]
 pub enum TopDelta {
     /// Append a machine to the set.  The product gains one factor (a
-    /// stride extension of the packed interner) and the fault graph is
-    /// pulled back and re-scored only where the new machine's partition
-    /// touches it.
+    /// stride extension of the packed interner).
     AddMachine(Dfsm),
     /// Remove the machine at this index (the remaining machines keep
     /// their order).  Removing the last machine is an error — a session
@@ -90,12 +88,11 @@ pub struct UpdateStats {
     /// States of the post-delta product that were (re-)expanded while
     /// applying the delta.
     pub product_states_reexpanded: usize,
-    /// Fault-graph stripes (dense) or rows (sparse) whose trackers the
-    /// delta actually touched; zero when the graph was rebuilt cold.
+    /// Always zero: the session keeps no fault graph for a delta to
+    /// touch (Algorithm 2 sweeps the partitions instead).  Kept so
+    /// existing readers of the counters still compile.
     pub graph_stripes_touched: usize,
-    /// The fault graph was rebuilt from the post-delta partitions instead
-    /// of updated in place (no cached graph, or the delta moved the
-    /// auto-selected weight representation).
+    /// Always `false`, like [`UpdateStats::graph_stripes_touched`].
     pub graph_rebuilt: bool,
     /// The whole update fell back to a cold rebuild (`ExtendMachine`, or
     /// a delta the warm paths cannot express).

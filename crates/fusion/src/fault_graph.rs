@@ -10,12 +10,16 @@
 //! * `f` crash faults can be tolerated iff `dmin > f` (Theorem 1),
 //! * `f` Byzantine faults can be tolerated iff `dmin > 2f` (Theorem 2).
 //!
+//! Algorithm 2 itself reads only `dmin` and the weakest edges, and gets
+//! both from a sweep over the machines' block rows without building this
+//! graph (see [`crate::generate`]); the graph serves the exhaustive
+//! search, the theory checks, recovery and the test oracles.
+//!
 //! ## Striped incremental `dmin` maintenance (dense representation)
 //!
-//! Algorithm 2 interleaves machine additions with `dmin` /
-//! weakest-edge queries, and the exhaustive search
-//! ([`crate::exhaustive_minimum_fusion`]) queries `dmin` at every node of
-//! its combination tree.  Rescanning all `n(n-1)/2` edges per query is the
+//! The exhaustive search
+//! ([`crate::exhaustive_minimum_fusion`]) interleaves machine additions
+//! with `dmin` queries at every node of its combination tree.  Rescanning all `n(n-1)/2` edges per query is the
 //! dominant query cost at scale, so the dense representation keeps the flat
 //! upper-triangular weight matrix and shards its trackers into **column
 //! stripes aligned with the u64 bitset block layout** of
@@ -39,8 +43,8 @@
 //! handful out of `n/64` — instead of scanning all `E` edges.  Per-weight
 //! *edge buckets* (append an edge to `bucket[w]` when its weight reaches
 //! `w`) would make those queries `O(|weakest|)`, but the bucket pushes cost
-//! more in the add path than the queries save — Algorithm 2 adds machines
-//! `E` edge increments at a time — so the histogram-stripe design wins end
+//! more in the add path than the queries save — each added machine
+//! costs up to `E` edge increments — so the histogram-stripe design wins end
 //! to end.  The pre-refactor full scans are preserved as
 //! [`FaultGraph::dmin_scan`] / [`FaultGraph::weakest_edges_scan`] /
 //! [`FaultGraph::addition_increases_dmin_scan`] for cross-validation
@@ -206,9 +210,8 @@ impl DenseWeights {
     /// The word-level add pass.  With `track`, the per-stripe histograms
     /// are updated inline (the histogram row is resolved once per visited
     /// word) and the stripe minima advanced afterwards; without, trackers
-    /// are left to a later [`DenseWeights::rebuild_trackers`].  Returns the
-    /// number of stripes whose weights actually moved.
-    fn add_bitset(&mut self, p: &BitsetPartition, track: bool) -> usize {
+    /// are left to a later [`DenseWeights::rebuild_trackers`].
+    fn add_bitset(&mut self, p: &BitsetPartition, track: bool) {
         let n = self.n;
         let words = words_for(n);
         if track {
@@ -217,7 +220,6 @@ impl DenseWeights {
                 sh.push(0);
             }
         }
-        let mut touched = vec![false; words];
         let DenseWeights {
             weights,
             stripe_hist,
@@ -240,7 +242,6 @@ impl DenseWeights {
                     // moves, so its histogram is untouched.
                     continue;
                 }
-                touched[w] = true;
                 let sh = &mut stripe_hist[w];
                 while mask != 0 {
                     let j = w * WORD_BITS + mask.trailing_zeros() as usize;
@@ -259,303 +260,6 @@ impl DenseWeights {
         if track {
             self.advance_mins();
         }
-        touched.iter().filter(|&&t| t).count()
-    }
-
-    /// The inverse of the tracked [`DenseWeights::add_bitset`]: every pair
-    /// the partition separates loses one unit of weight.  Weights can
-    /// *decrease* here, so the grow-only [`DenseWeights::advance_mins`]
-    /// does not apply: the stripe minima of touched stripes are recomputed
-    /// from their histograms and the global minimum re-derived over all
-    /// stripes.  The caller decrements the machine count afterwards; the
-    /// now-unreachable top histogram slot is dropped here (it must be empty
-    /// — an edge at full weight is separated by *every* machine, including
-    /// the one being removed).  Returns the number of touched stripes.
-    fn remove_bitset(&mut self, p: &BitsetPartition) -> usize {
-        let n = self.n;
-        let words = words_for(n);
-        let mut touched = vec![false; words];
-        let DenseWeights {
-            weights,
-            stripe_hist,
-            ..
-        } = self;
-        let mut base = 0usize;
-        for i in 0..n.saturating_sub(1) {
-            let row = p.block_row(p.block_of(i));
-            let start = i + 1;
-            for (w, &word) in row.iter().enumerate().skip(start / WORD_BITS) {
-                let mut mask = !word;
-                if w == start / WORD_BITS {
-                    mask &= !0u64 << (start % WORD_BITS);
-                }
-                if w == words - 1 && n % WORD_BITS != 0 {
-                    mask &= (1u64 << (n % WORD_BITS)) - 1;
-                }
-                if mask == 0 {
-                    continue;
-                }
-                touched[w] = true;
-                let sh = &mut stripe_hist[w];
-                while mask != 0 {
-                    let j = w * WORD_BITS + mask.trailing_zeros() as usize;
-                    let idx = base + (j - start);
-                    let old = weights[idx];
-                    debug_assert!(old > 0, "removing a machine that was never added");
-                    weights[idx] = old - 1;
-                    sh[old as usize] -= 1;
-                    sh[old as usize - 1] += 1;
-                    mask &= mask - 1;
-                }
-            }
-            base += n - i - 1;
-        }
-        for sh in &mut self.stripe_hist {
-            debug_assert_eq!(
-                sh.last().copied(),
-                Some(0),
-                "full-weight edge survived removal"
-            );
-            sh.pop();
-        }
-        let mut global = u32::MAX;
-        for (s, sh) in self.stripe_hist.iter().enumerate() {
-            if touched[s] {
-                self.stripe_min[s] = match sh.iter().position(|&c| c > 0) {
-                    Some(w) => w as u32,
-                    None => u32::MAX,
-                };
-            }
-            global = global.min(self.stripe_min[s]);
-        }
-        self.min_weight = global;
-        touched.iter().filter(|&&t| t).count()
-    }
-
-    /// Pulls the weights back along `mapping` onto a new state space:
-    /// `w'(i, j) = w(mapping[i], mapping[j])`, zero when both endpoints
-    /// collapse onto the same old state (no machine separates a state from
-    /// itself).
-    ///
-    /// This is the hot pass of a warm [`FaultGraph::remap_states`] — every
-    /// delta-aware `update_top` walks it over the full new edge set — so
-    /// the stripe histograms are filled *during* the copy instead of by a
-    /// second [`DenseWeights::rebuild_trackers`] sweep, the old flat index
-    /// comes from a precomputed row-base table (two adds, no per-edge
-    /// triangular arithmetic), and the inner loop runs stripe-segmented so
-    /// each histogram row is resolved once per 64 columns.
-    fn remap(&self, mapping: &[u32], machines: usize) -> DenseWeights {
-        let n_new = mapping.len();
-        // Row base of old row `a`: the flat index of edge (a, a + 1).
-        let mut row_base = Vec::with_capacity(self.n);
-        let mut acc = 0usize;
-        for a in 0..self.n {
-            row_base.push(acc);
-            acc += self.n - a - 1;
-        }
-        let edges = edges_in(n_new);
-        let stripes = if n_new == 0 { 0 } else { words_for(n_new) };
-        let mut weights = vec![0u32; edges];
-        let mut stripe_hist: Vec<Vec<usize>> = vec![vec![0; machines + 1]; stripes];
-        let mut idx = 0usize;
-        for (i, &mi) in mapping.iter().enumerate() {
-            let a = mi as usize;
-            let mut j = i + 1;
-            while j < n_new {
-                let s = j / WORD_BITS;
-                let seg_end = ((s + 1) * WORD_BITS).min(n_new);
-                let sh = &mut stripe_hist[s];
-                for &mj in &mapping[j..seg_end] {
-                    let b = mj as usize;
-                    let w = if a != b {
-                        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                        self.weights[row_base[lo] + (hi - lo - 1)]
-                    } else {
-                        0
-                    };
-                    weights[idx] = w;
-                    sh[w as usize] += 1;
-                    idx += 1;
-                }
-                j = seg_end;
-            }
-        }
-        let mut stripe_min = Vec::with_capacity(stripes);
-        let mut global = u32::MAX;
-        for sh in &stripe_hist {
-            let m = match sh.iter().position(|&c| c > 0) {
-                Some(w) => w as u32,
-                None => u32::MAX,
-            };
-            stripe_min.push(m);
-            global = global.min(m);
-        }
-        DenseWeights {
-            n: n_new,
-            weights,
-            stripe_hist,
-            stripe_min,
-            min_weight: global,
-        }
-    }
-
-    /// [`DenseWeights::remap`] fused with one extra partition over the
-    /// *new* state space: `w'(i, j) = w(mapping[i], mapping[j]) + [p
-    /// separates i and j]`.  One pass over the new edge set replaces the
-    /// remap-then-[`DenseWeights::add_bitset`] pair a warm `AddMachine`
-    /// used to pay (each a full edge sweep of its own).  The separation
-    /// bit comes from one bitset word per 64 columns, so the fusion costs
-    /// a shift and a mask on top of the plain remap.  Also returns the
-    /// number of stripes the added partition touched.
-    fn remap_adding(
-        &self,
-        mapping: &[u32],
-        p: &BitsetPartition,
-        machines: usize,
-    ) -> (DenseWeights, usize) {
-        let n_new = mapping.len();
-        let mut row_base = Vec::with_capacity(self.n);
-        let mut acc = 0usize;
-        for a in 0..self.n {
-            row_base.push(acc);
-            acc += self.n - a - 1;
-        }
-        let edges = edges_in(n_new);
-        let stripes = if n_new == 0 { 0 } else { words_for(n_new) };
-        let mut weights = vec![0u32; edges];
-        let mut stripe_hist: Vec<Vec<usize>> = vec![vec![0; machines + 2]; stripes];
-        let mut stripe_touched = vec![false; stripes];
-        let mut idx = 0usize;
-        for (i, &mi) in mapping.iter().enumerate() {
-            let a = mi as usize;
-            let row = p.block_row(p.block_of(i));
-            let mut j = i + 1;
-            while j < n_new {
-                let s = j / WORD_BITS;
-                let seg_end = ((s + 1) * WORD_BITS).min(n_new);
-                let sh = &mut stripe_hist[s];
-                // Bit `j - s·64` set means `j` shares `i`'s block (not
-                // separated); invert once for the whole segment.
-                let sep_word = !row[s];
-                let mut seg_sep = false;
-                for (&mj, bit) in mapping[j..seg_end].iter().zip(j - s * WORD_BITS..) {
-                    let b = mj as usize;
-                    let w = if a != b {
-                        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                        self.weights[row_base[lo] + (hi - lo - 1)]
-                    } else {
-                        0
-                    };
-                    let sep = (sep_word >> bit) & 1;
-                    seg_sep |= sep != 0;
-                    let w = w + sep as u32;
-                    weights[idx] = w;
-                    sh[w as usize] += 1;
-                    idx += 1;
-                }
-                stripe_touched[s] |= seg_sep;
-                j = seg_end;
-            }
-        }
-        let mut stripe_min = Vec::with_capacity(stripes);
-        let mut global = u32::MAX;
-        for sh in &stripe_hist {
-            let m = match sh.iter().position(|&c| c > 0) {
-                Some(w) => w as u32,
-                None => u32::MAX,
-            };
-            stripe_min.push(m);
-            global = global.min(m);
-        }
-        (
-            DenseWeights {
-                n: n_new,
-                weights,
-                stripe_hist,
-                stripe_min,
-                min_weight: global,
-            },
-            stripe_touched.iter().filter(|&&t| t).count(),
-        )
-    }
-
-    /// [`DenseWeights::remap`] fused with the removal of one partition
-    /// over the *old* state space: `w'(i, j) = w(mapping[i], mapping[j]) −
-    /// [p separates mapping[i] and mapping[j]]`.  A warm `RemoveMachine`
-    /// used to unbump the full old edge set ([`DenseWeights::remove_bitset`])
-    /// and then contract; subtracting during the contraction touches only
-    /// the new (smaller) edge set.  Also returns the number of new-space
-    /// stripes whose weights lost a unit.
-    fn remap_removing(
-        &self,
-        mapping: &[u32],
-        p: &BitsetPartition,
-        machines_after: usize,
-    ) -> (DenseWeights, usize) {
-        let n_new = mapping.len();
-        let mut row_base = Vec::with_capacity(self.n);
-        let mut acc = 0usize;
-        for a in 0..self.n {
-            row_base.push(acc);
-            acc += self.n - a - 1;
-        }
-        let edges = edges_in(n_new);
-        let stripes = if n_new == 0 { 0 } else { words_for(n_new) };
-        let mut weights = vec![0u32; edges];
-        let mut stripe_hist: Vec<Vec<usize>> = vec![vec![0; machines_after + 1]; stripes];
-        let mut stripe_touched = vec![false; stripes];
-        let mut idx = 0usize;
-        for (i, &mi) in mapping.iter().enumerate() {
-            let a = mi as usize;
-            let row = p.block_row(p.block_of(a));
-            let mut j = i + 1;
-            while j < n_new {
-                let s = j / WORD_BITS;
-                let seg_end = ((s + 1) * WORD_BITS).min(n_new);
-                let sh = &mut stripe_hist[s];
-                let mut seg_sep = false;
-                for &mj in &mapping[j..seg_end] {
-                    let b = mj as usize;
-                    let w = if a != b {
-                        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                        let w = self.weights[row_base[lo] + (hi - lo - 1)];
-                        // Separated by the removed machine: bit `b` clear
-                        // in the block row of `a`.
-                        let sep = !(row[b / WORD_BITS] >> (b % WORD_BITS)) & 1;
-                        seg_sep |= sep != 0;
-                        debug_assert!(w as u64 >= sep, "removing a machine never added");
-                        w - sep as u32
-                    } else {
-                        0
-                    };
-                    weights[idx] = w;
-                    sh[w as usize] += 1;
-                    idx += 1;
-                }
-                stripe_touched[s] |= seg_sep;
-                j = seg_end;
-            }
-        }
-        let mut stripe_min = Vec::with_capacity(stripes);
-        let mut global = u32::MAX;
-        for sh in &stripe_hist {
-            let m = match sh.iter().position(|&c| c > 0) {
-                Some(w) => w as u32,
-                None => u32::MAX,
-            };
-            stripe_min.push(m);
-            global = global.min(m);
-        }
-        (
-            DenseWeights {
-                n: n_new,
-                weights,
-                stripe_hist,
-                stripe_min,
-                min_weight: global,
-            },
-            stripe_touched.iter().filter(|&&t| t).count(),
-        )
     }
 
     /// Bumps a single edge (scan path).  Trackers are left stale; callers
@@ -743,9 +447,7 @@ impl SparseWeights {
     /// Adds a machine: every *same-block* pair gains one unit of deficit.
     /// Each block's members are collected once (ascending), then merged
     /// into the affected rows; rows and the merge buffer are reused.
-    /// Returns the number of rows whose entries moved.
-    fn add_bitset(&mut self, p: &BitsetPartition) -> usize {
-        let mut rows_touched = 0usize;
+    fn add_bitset(&mut self, p: &BitsetPartition) {
         for b in 0..p.num_blocks() {
             self.scratch.clear();
             self.scratch.extend(p.block_ones(b).map(|x| x as u32));
@@ -753,123 +455,9 @@ impl SparseWeights {
             for a in 0..members.len().saturating_sub(1) {
                 let i = members[a] as usize;
                 self.bump_row(i, &members[a + 1..]);
-                rows_touched += 1;
             }
             members.clear();
             self.scratch = members;
-        }
-        rows_touched
-    }
-
-    /// The inverse of [`SparseWeights::add_bitset`]: every *same-block*
-    /// pair of the partition loses one unit of deficit; entries reaching
-    /// zero are dropped so the stored set stays exactly the positive
-    /// deficits (what a cold build would store).  The cached `max_deficit`
-    /// can *fall* here, so it is re-derived from the histogram afterwards.
-    /// Returns the number of rows whose entries moved.
-    fn remove_bitset(&mut self, p: &BitsetPartition) -> usize {
-        let mut rows_touched = 0usize;
-        for b in 0..p.num_blocks() {
-            self.scratch.clear();
-            self.scratch.extend(p.block_ones(b).map(|x| x as u32));
-            let mut members = std::mem::take(&mut self.scratch);
-            for a in 0..members.len().saturating_sub(1) {
-                let i = members[a] as usize;
-                self.unbump_row(i, &members[a + 1..]);
-                rows_touched += 1;
-            }
-            members.clear();
-            self.scratch = members;
-        }
-        while self.max_deficit > 0 && self.deficit_hist[self.max_deficit as usize] == 0 {
-            self.max_deficit -= 1;
-        }
-        rows_touched
-    }
-
-    /// Merge-walks row `i` against `outgoing` (sorted, all `> i`, all
-    /// present — the machine being removed was previously added, so every
-    /// one of its same-block pairs is stored), decrementing each matched
-    /// column and dropping entries that reach deficit zero.
-    fn unbump_row(&mut self, i: usize, outgoing: &[u32]) {
-        let SparseWeights {
-            rows,
-            stored,
-            deficit_hist,
-            merged,
-            ..
-        } = self;
-        let row = &mut rows[i];
-        merged.clear();
-        let mut y = 0usize;
-        for &(c, d) in row.iter() {
-            if y < outgoing.len() && outgoing[y] == c {
-                y += 1;
-                deficit_hist[d as usize] -= 1;
-                if d > 1 {
-                    merged.push((c, d - 1));
-                    deficit_hist[d as usize - 1] += 1;
-                } else {
-                    *stored -= 1;
-                }
-            } else {
-                merged.push((c, d));
-            }
-        }
-        debug_assert_eq!(y, outgoing.len(), "removed machine pair was never stored");
-        std::mem::swap(row, merged);
-    }
-
-    /// Pulls the deficit rows back along `mapping` onto a new state space.
-    /// A stored entry `(a, b, d)` fans out to every preimage pair; pairs
-    /// inside one fiber (both endpoints mapping to the same old state) are
-    /// separated by *no* machine, i.e. stored at full deficit `machines`.
-    fn remap(&self, mapping: &[u32], machines: usize) -> SparseWeights {
-        let n_new = mapping.len();
-        let mut preimages: Vec<Vec<u32>> = vec![Vec::new(); self.n];
-        for (i, &x) in mapping.iter().enumerate() {
-            preimages[x as usize].push(i as u32);
-        }
-        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_new];
-        for (a, row) in self.rows.iter().enumerate() {
-            for &(b, d) in row {
-                for &i in &preimages[a] {
-                    for &j in &preimages[b as usize] {
-                        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-                        rows[lo as usize].push((hi, d));
-                    }
-                }
-            }
-        }
-        if machines > 0 {
-            let full = machines as u32;
-            for fiber in &preimages {
-                for (a, &i) in fiber.iter().enumerate() {
-                    for &j in &fiber[a + 1..] {
-                        rows[i as usize].push((j, full));
-                    }
-                }
-            }
-        }
-        let mut stored = 0usize;
-        let mut deficit_hist = vec![0usize];
-        let mut max_deficit = 0u32;
-        for row in &mut rows {
-            row.sort_unstable_by_key(|&(c, _)| c);
-            for &(_, d) in row.iter() {
-                stored += 1;
-                bump_hist(&mut deficit_hist, &mut max_deficit, d);
-            }
-        }
-        SparseWeights {
-            n: n_new,
-            edges: edges_in(n_new),
-            rows,
-            stored,
-            deficit_hist,
-            max_deficit,
-            scratch: Vec::new(),
-            merged: Vec::new(),
         }
     }
 
@@ -1066,20 +654,6 @@ enum Weights {
     Sparse(SparseWeights),
 }
 
-/// A single-machine change applied to a [`FaultGraph`] in place by
-/// [`FaultGraph::apply_delta`] — the graph half of the `delta` subsystem
-/// (see [`crate::delta::TopDelta`]).
-#[derive(Debug, Clone, Copy)]
-pub enum GraphDelta<'a> {
-    /// A machine joined the set: its partition's separated pairs each gain
-    /// one unit of weight.
-    AddPartition(&'a Partition),
-    /// A machine left the set: its partition's separated pairs each lose
-    /// one unit of weight.  The partition must have been added before
-    /// (weights never go negative).
-    RemovePartition(&'a Partition),
-}
-
 /// The fault graph `G(⊤, M)` for machines represented as closed partitions
 /// of a `⊤` with `n` states.
 ///
@@ -1087,7 +661,7 @@ pub enum GraphDelta<'a> {
 /// the module docs): the striped dense matrix and the sparse deficit rows,
 /// selected by [`FaultGraph::with_representation`] or automatically by
 /// [`FaultGraph::from_partitions`].  Machines can be added incrementally,
-/// which is what Algorithm 2 does as it grows the fusion set; both
+/// which is what the exhaustive search does as it grows a candidate set; both
 /// representations maintain their trackers alongside the weights so
 /// [`FaultGraph::dmin`] is `O(1)` and [`FaultGraph::weakest_edges`] /
 /// [`FaultGraph::speculate`] touch only the stripes (dense) or stored
@@ -1231,7 +805,7 @@ impl FaultGraph {
         match &mut self.weights {
             Weights::Dense(d) => d.add_bitset(p, true),
             Weights::Sparse(s) => s.add_bitset(p),
-        };
+        }
         self.machines += 1;
     }
 
@@ -1264,139 +838,6 @@ impl FaultGraph {
                     }
                 }
                 self.machines += 1;
-            }
-        }
-    }
-
-    /// Applies a single-machine delta in place, recomputing only the
-    /// trackers of the stripes (dense) or rows (sparse) the changed
-    /// machine's partition actually touches.  Returns that touched count —
-    /// the `graph_stripes_touched` figure surfaced in
-    /// [`crate::delta::UpdateStats`].
-    ///
-    /// Adding via [`GraphDelta::AddPartition`] is identical to
-    /// [`FaultGraph::add_machine`]; removing via
-    /// [`GraphDelta::RemovePartition`] is its exact inverse, leaving the
-    /// graph bit-identical to one built from the surviving partitions (the
-    /// sparse stored set stays exactly the positive deficits, and the
-    /// dense stripe minima are re-derived for touched stripes since
-    /// weights can fall).
-    pub fn apply_delta(&mut self, delta: GraphDelta<'_>) -> usize {
-        match delta {
-            GraphDelta::AddPartition(p) => {
-                assert_eq!(p.len(), self.n, "partition over wrong number of states");
-                let touched = match &mut self.weights {
-                    Weights::Dense(d) => d.add_bitset(&BitsetPartition::from_partition(p), true),
-                    Weights::Sparse(s) => s.add_bitset(&BitsetPartition::from_partition(p)),
-                };
-                self.machines += 1;
-                touched
-            }
-            GraphDelta::RemovePartition(p) => {
-                assert_eq!(p.len(), self.n, "partition over wrong number of states");
-                assert!(self.machines > 0, "no machines to remove");
-                let touched = match &mut self.weights {
-                    Weights::Dense(d) => d.remove_bitset(&BitsetPartition::from_partition(p)),
-                    Weights::Sparse(s) => s.remove_bitset(&BitsetPartition::from_partition(p)),
-                };
-                self.machines -= 1;
-                touched
-            }
-        }
-    }
-
-    /// Pulls the graph back along a state mapping onto a new state space,
-    /// preserving the representation and machine count.
-    ///
-    /// `mapping[i]` names the state of *this* graph that new state `i`
-    /// projects onto, so the result is the fault graph of the same
-    /// machines lifted through the mapping:
-    /// `w'(i, j) = w(mapping[i], mapping[j])`, zero when both endpoints
-    /// collapse onto the same old state (no machine separates a state from
-    /// itself).  A surjective mapping lifts a product extension
-    /// (`AddMachine` re-uses the old graph before adding the new
-    /// projection); an injective one contracts fibers after a machine is
-    /// removed (pick one preimage representative per new state — the
-    /// surviving machines cannot distinguish preimages, so any choice
-    /// yields the same graph).
-    pub fn remap_states(&self, mapping: &[u32]) -> FaultGraph {
-        debug_assert!(mapping.iter().all(|&x| (x as usize) < self.n));
-        let weights = match &self.weights {
-            Weights::Dense(d) => Weights::Dense(d.remap(mapping, self.machines)),
-            Weights::Sparse(s) => Weights::Sparse(s.remap(mapping, self.machines)),
-        };
-        FaultGraph {
-            n: mapping.len(),
-            machines: self.machines,
-            weights,
-        }
-    }
-
-    /// [`FaultGraph::remap_states`] fused with
-    /// `apply_delta(GraphDelta::AddPartition(p))`, where `p` lives on the
-    /// *new* state space: bit-identical to the two-step sequence, but the
-    /// dense representation pays one pass over the new edge set instead of
-    /// two.  Returns the remapped-and-grown graph and the touched-stripe
-    /// count the two-step sequence would have reported.
-    pub fn remap_states_adding(&self, mapping: &[u32], p: &Partition) -> (FaultGraph, usize) {
-        debug_assert!(mapping.iter().all(|&x| (x as usize) < self.n));
-        assert_eq!(
-            p.len(),
-            mapping.len(),
-            "partition over wrong number of states"
-        );
-        match &self.weights {
-            Weights::Dense(d) => {
-                let (w, touched) =
-                    d.remap_adding(mapping, &BitsetPartition::from_partition(p), self.machines);
-                (
-                    FaultGraph {
-                        n: mapping.len(),
-                        machines: self.machines + 1,
-                        weights: Weights::Dense(w),
-                    },
-                    touched,
-                )
-            }
-            Weights::Sparse(_) => {
-                let mut g = self.remap_states(mapping);
-                let touched = g.apply_delta(GraphDelta::AddPartition(p));
-                (g, touched)
-            }
-        }
-    }
-
-    /// [`FaultGraph::remap_states`] fused with
-    /// `apply_delta(GraphDelta::RemovePartition(p))` applied *first*, where
-    /// `p` lives on *this* graph's state space: bit-identical to
-    /// remove-then-contract, but the dense representation subtracts during
-    /// the contraction and so touches only the new (smaller) edge set —
-    /// never the full old one.  Returns the contracted graph and the
-    /// number of new-space stripes that lost weight.
-    pub fn remap_states_removing(&self, mapping: &[u32], p: &Partition) -> (FaultGraph, usize) {
-        debug_assert!(mapping.iter().all(|&x| (x as usize) < self.n));
-        assert_eq!(p.len(), self.n, "partition over wrong number of states");
-        assert!(self.machines > 0, "no machines to remove");
-        match &self.weights {
-            Weights::Dense(d) => {
-                let (w, touched) = d.remap_removing(
-                    mapping,
-                    &BitsetPartition::from_partition(p),
-                    self.machines - 1,
-                );
-                (
-                    FaultGraph {
-                        n: mapping.len(),
-                        machines: self.machines - 1,
-                        weights: Weights::Dense(w),
-                    },
-                    touched,
-                )
-            }
-            Weights::Sparse(_) => {
-                let mut old = self.clone();
-                let touched = old.apply_delta(GraphDelta::RemovePartition(p));
-                (old.remap_states(mapping), touched)
             }
         }
     }
@@ -1892,189 +1333,6 @@ mod tests {
         // but 4 states is far below the production floor.
         let fine = vec![Partition::singletons(4)];
         assert_eq!(WeightRepr::auto_for(4, &fine), WeightRepr::Dense);
-    }
-
-    /// A family of mildly overlapping partitions over `n` states used by
-    /// the delta tests below.
-    fn delta_family(n: usize) -> Vec<Partition> {
-        (0..5)
-            .map(|k| {
-                Partition::from_assignment(
-                    &(0..n)
-                        .map(|x| (x * (k + 2) + k) % (k + 3))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect()
-    }
-
-    fn assert_same_graph(a: &FaultGraph, b: &FaultGraph) {
-        assert_eq!(a.num_states(), b.num_states());
-        assert_eq!(a.num_machines(), b.num_machines());
-        assert_eq!(a.dmin(), b.dmin());
-        assert_eq!(a.dmin(), a.dmin_scan());
-        assert_eq!(a.weakest_edges(), b.weakest_edges());
-        assert_eq!(a.weakest_edges(), a.weakest_edges_scan());
-        assert_eq!(a.weight_histogram(), b.weight_histogram());
-        for i in 0..a.num_states() {
-            for j in (i + 1)..a.num_states() {
-                assert_eq!(a.weight(i, j), b.weight(i, j), "edge ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn apply_delta_add_matches_cold_build() {
-        let n = 70;
-        let machines = delta_family(n);
-        for repr in [WeightRepr::Dense, WeightRepr::Sparse] {
-            let mut g = FaultGraph::from_partitions_with(n, &machines[..4], repr);
-            let touched = g.apply_delta(GraphDelta::AddPartition(&machines[4]));
-            assert!(touched > 0);
-            let cold = FaultGraph::from_partitions_with(n, &machines, repr);
-            assert_same_graph(&g, &cold);
-        }
-    }
-
-    #[test]
-    fn apply_delta_remove_matches_cold_build() {
-        let n = 70;
-        let machines = delta_family(n);
-        for repr in [WeightRepr::Dense, WeightRepr::Sparse] {
-            for k in 0..machines.len() {
-                let mut g = FaultGraph::from_partitions_with(n, &machines, repr);
-                let touched = g.apply_delta(GraphDelta::RemovePartition(&machines[k]));
-                assert!(touched > 0);
-                let rest: Vec<Partition> = machines
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != k)
-                    .map(|(_, p)| p.clone())
-                    .collect();
-                let cold = FaultGraph::from_partitions_with(n, &rest, repr);
-                assert_same_graph(&g, &cold);
-            }
-        }
-    }
-
-    #[test]
-    fn apply_delta_sequences_keep_trackers_consistent() {
-        // Interleave adds and removes with queries; every intermediate
-        // graph must agree with its full rescan and with a cold build.
-        let n = 70;
-        let machines = delta_family(n);
-        for repr in [WeightRepr::Dense, WeightRepr::Sparse] {
-            let mut g = FaultGraph::from_partitions_with(n, &machines[..3], repr);
-            g.apply_delta(GraphDelta::AddPartition(&machines[3]));
-            g.apply_delta(GraphDelta::RemovePartition(&machines[1]));
-            g.apply_delta(GraphDelta::AddPartition(&machines[4]));
-            g.apply_delta(GraphDelta::RemovePartition(&machines[0]));
-            let survivors = vec![
-                machines[2].clone(),
-                machines[3].clone(),
-                machines[4].clone(),
-            ];
-            let cold = FaultGraph::from_partitions_with(n, &survivors, repr);
-            assert_same_graph(&g, &cold);
-        }
-    }
-
-    #[test]
-    fn remap_states_matches_lifted_cold_build() {
-        // A surjective mapping (fibers of size > 1) models a product
-        // extension: the remapped graph must equal a cold build from the
-        // pulled-back partitions.
-        let n_old = 10;
-        let machines = delta_family(n_old);
-        let mapping: Vec<u32> = vec![0, 7, 3, 3, 9, 1, 2, 4, 5, 6, 8, 0, 7, 9];
-        for repr in [WeightRepr::Dense, WeightRepr::Sparse] {
-            let g = FaultGraph::from_partitions_with(n_old, &machines, repr);
-            let remapped = g.remap_states(&mapping);
-            assert_eq!(remapped.representation(), repr);
-            let lifted: Vec<Partition> = machines
-                .iter()
-                .map(|p| {
-                    let a = p.assignment();
-                    Partition::from_assignment(
-                        &mapping.iter().map(|&x| a[x as usize]).collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
-            let cold = FaultGraph::from_partitions_with(mapping.len(), &lifted, repr);
-            assert_same_graph(&remapped, &cold);
-        }
-    }
-
-    #[test]
-    fn remap_states_contracts_with_injective_mapping() {
-        // An injective, non-surjective mapping models the contraction after
-        // a machine removal: representatives only, old fibers dropped.
-        let n_old = 12;
-        let machines = delta_family(n_old);
-        let mapping: Vec<u32> = vec![1, 4, 6, 11];
-        for repr in [WeightRepr::Dense, WeightRepr::Sparse] {
-            let g = FaultGraph::from_partitions_with(n_old, &machines, repr);
-            let remapped = g.remap_states(&mapping);
-            let lifted: Vec<Partition> = machines
-                .iter()
-                .map(|p| {
-                    let a = p.assignment();
-                    Partition::from_assignment(
-                        &mapping.iter().map(|&x| a[x as usize]).collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
-            let cold = FaultGraph::from_partitions_with(mapping.len(), &lifted, repr);
-            assert_same_graph(&remapped, &cold);
-        }
-    }
-
-    #[test]
-    fn remap_states_adding_matches_two_step_sequence() {
-        // The fused lift-and-add must be bit-identical to remap_states
-        // followed by apply_delta(AddPartition), including the
-        // touched-stripe count (the added partition lives on the new
-        // space in both formulations).
-        let n_old = 10;
-        let machines = delta_family(n_old);
-        let mapping: Vec<u32> = vec![0, 7, 3, 3, 9, 1, 2, 4, 5, 6, 8, 0, 7, 9];
-        let added = &delta_family(mapping.len())[2];
-        for repr in [WeightRepr::Dense, WeightRepr::Sparse] {
-            let g = FaultGraph::from_partitions_with(n_old, &machines, repr);
-            let (fused, touched) = g.remap_states_adding(&mapping, added);
-            let mut two_step = g.remap_states(&mapping);
-            let expected = two_step.apply_delta(GraphDelta::AddPartition(added));
-            assert_eq!(touched, expected, "{repr:?}");
-            assert_eq!(fused.num_machines(), machines.len() + 1);
-            assert_same_graph(&fused, &two_step);
-        }
-    }
-
-    #[test]
-    fn remap_states_removing_matches_two_step_sequence() {
-        // The fused remove-and-contract must be bit-identical to
-        // apply_delta(RemovePartition) followed by remap_states; the
-        // touched count is reported on the new (contracted) space, so
-        // only its positivity is pinned here.
-        let n_old = 12;
-        let machines = delta_family(n_old);
-        let mapping: Vec<u32> = vec![1, 4, 6, 11];
-        for repr in [WeightRepr::Dense, WeightRepr::Sparse] {
-            for k in 0..machines.len() {
-                let g = FaultGraph::from_partitions_with(n_old, &machines, repr);
-                let (fused, touched) = g.remap_states_removing(&mapping, &machines[k]);
-                assert!(touched > 0, "{repr:?} k={k}");
-                if repr == WeightRepr::Dense {
-                    // Dense reports touched stripes of the *new* space.
-                    assert!(touched <= words_for(mapping.len()), "k={k}");
-                }
-                let mut old = g.clone();
-                old.apply_delta(GraphDelta::RemovePartition(&machines[k]));
-                let two_step = old.remap_states(&mapping);
-                assert_eq!(fused.num_machines(), machines.len() - 1);
-                assert_same_graph(&fused, &two_step);
-            }
-        }
     }
 
     #[test]

@@ -32,11 +32,11 @@ use std::time::Instant;
 
 use fsm_dfsm::{Dfsm, ReachableProduct};
 
-use crate::bitset::BitsetPartition;
+use crate::bitset::{words_for, BitsetPartition, WORD_BITS};
 use crate::closed::quotient_machine;
 use crate::closed::{CloseScratch, ClosureKernel};
 use crate::config::{CachePolicy, FusionConfig};
-use crate::error::Result;
+use crate::error::{FusionError, Result};
 use crate::fault_graph::FaultGraph;
 use crate::partition::Partition;
 use crate::session::{cached_close, ClosureCache};
@@ -116,9 +116,10 @@ pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<
 /// The sequential Algorithm 2 engine.
 ///
 /// The candidate-scoring loop runs through a [`ClosureKernel`] built once
-/// per call (flat transition tables, map-free closure fixpoints) and the
-/// fault graph updates word-at-a-time through the bitset kernel; the
-/// pre-refactor element-scan version is preserved as
+/// per call (flat transition tables, map-free closure fixpoints), and
+/// `dmin` and the weakest edges come from a bit-sliced sweep over the
+/// machines' block rows (`WeakestSweep`), so no `O(|⊤|²)` fault graph is
+/// ever built; the pre-refactor element-scan version is preserved as
 /// [`crate::reference::generate_fusion_scan`].
 ///
 /// The descent inner loop is **allocation-free**: one [`CloseScratch`], one
@@ -133,6 +134,9 @@ pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<
 /// machine, so it also skips every merge whose closure is forced to merge
 /// a filtered pair.  The [`GenerationStats`] counters stay identical to
 /// the unfiltered loop.
+///
+/// Every original must partition the `top.size()` states of `top`;
+/// otherwise the call fails with [`FusionError::InvalidPartition`].
 pub fn generate_fusion_seq(
     top: &Dfsm,
     originals: &[Partition],
@@ -145,6 +149,7 @@ pub fn generate_fusion_seq(
         f,
         &mut CloseScratch::new(),
         &mut DoomedPairs::default(),
+        &mut WeakestSweep::default(),
         None,
     )
 }
@@ -153,8 +158,10 @@ pub fn generate_fusion_seq(
 /// kernel, scratch buffers and (optionally) closure cache.
 /// [`generate_fusion_seq`] passes fresh buffers and no cache;
 /// [`crate::FusionSession`] threads its own through, so repeated searches
-/// reuse warm buffers and cached closures.  A cache hit replaces the closure fixpoint with one buffer
-/// copy and never changes the result or the statistics.
+/// reuse warm buffers and cached closures.  A cache hit replaces the
+/// closure fixpoint with one buffer copy and never changes the result or
+/// the statistics.
+#[allow(clippy::too_many_arguments)] // one slot per session-owned buffer
 pub(crate) fn seq_engine(
     top: &Dfsm,
     kernel: &ClosureKernel,
@@ -162,33 +169,41 @@ pub(crate) fn seq_engine(
     f: usize,
     scratch: &mut CloseScratch,
     doomed: &mut DoomedPairs,
+    sweep: &mut WeakestSweep,
     mut cache: Option<&mut ClosureCache>,
 ) -> Result<FusionGeneration> {
     let start = Instant::now();
     let n = top.size();
-    // The initial fault graph only depends on (n, originals); a session
-    // sweeping f over the same inputs gets a clone of the cached build.
-    let mut graph = match cache.as_mut() {
-        Some(c) => c.initial_graph(n, originals),
-        None => FaultGraph::from_partitions(n, originals),
-    };
+    if let Some((i, p)) = originals.iter().enumerate().find(|(_, p)| p.len() != n) {
+        return Err(FusionError::InvalidPartition(format!(
+            "original {i} partitions {} states, but the top machine has {n}",
+            p.len()
+        )));
+    }
+    sweep.clear();
+    for p in originals {
+        sweep.push(p);
+    }
+    let mut dmin = sweep.run(n);
     let mut stats = GenerationStats {
-        initial_dmin: graph.dmin(),
+        initial_dmin: dmin,
         ..Default::default()
     };
     let mut partitions: Vec<Partition> = Vec::new();
-    // Search-lifetime buffers: every candidate closure of every descent of
-    // every outer iteration reuses these.
+    // Search-lifetime buffer: every candidate closure of every descent of
+    // every outer iteration reuses it.
     let mut candidate = Partition::singletons(n);
-    let mut current_bits = BitsetPartition::singletons(0);
+    let below = |dmin: u32| dmin != u32::MAX && dmin as u128 <= f as u128;
 
-    // Loop invariant: `graph` is the fault graph of originals ∪ partitions.
-    // Each iteration adds exactly one machine that covers all current
-    // weakest edges, so dmin increases by exactly one per iteration and the
-    // loop terminates after f + 1 - dmin(originals) iterations (Theorem 4 /
-    // Theorem 5; the count is 0 if the originals are already tolerant).
-    while !graph.tolerates_crash_faults(f) {
-        let weakest = graph.weakest_edges();
+    // Loop invariant: `dmin` is dmin(originals ∪ partitions), and while
+    // it is at most `f` the sweep holds that set's weakest edges.  Each
+    // iteration adds exactly one machine that covers all of them, so dmin
+    // increases by exactly one per iteration and the loop terminates after
+    // f + 1 - dmin(originals) iterations (Theorem 4 / Theorem 5; the count
+    // is 0 if the originals are already tolerant).  A `⊤` with one state
+    // has no edges (dmin = u32::MAX) and needs no backup.
+    while below(dmin) {
+        let weakest = sweep.weakest_edges();
         debug_assert!(!weakest.is_empty());
         // Start at ⊤ (the singleton partition), which covers every edge, and
         // descend the closed partition lattice.
@@ -221,7 +236,7 @@ pub(crate) fn seq_engine(
             // never pay for that.  The examined-candidate counter still
             // counts skipped pairs (they are "examined" at block level), so
             // the statistics are bit-identical to the unfiltered descent.
-            doomed.reset(&current, &weakest);
+            doomed.reset(&current, weakest);
             let mut propagated = false;
             // One cache key per level: the merges below are all merges of
             // `current`, so the fingerprint is computed once.
@@ -243,7 +258,7 @@ pub(crate) fn seq_engine(
                         b2,
                         &mut candidate,
                     )?;
-                    if FaultGraph::covers_all(&candidate, &weakest) {
+                    if FaultGraph::covers_all(&candidate, weakest) {
                         stats.candidates_examined += idx;
                         std::mem::swap(&mut current, &mut candidate);
                         continue 'descend;
@@ -257,13 +272,19 @@ pub(crate) fn seq_engine(
             stats.candidates_examined += total_pairs;
             break;
         }
-        current_bits.refresh_from_partition(&current);
-        graph.add_machine_bitset(&current_bits);
+        sweep.push(&current);
         partitions.push(current);
         stats.outer_iterations += 1;
+        dmin += 1;
+        // The next iteration needs the new weakest edges; past `f` only a
+        // debug build sweeps again, to check the exact-one step.
+        if below(dmin) || cfg!(debug_assertions) {
+            let swept = sweep.run(n);
+            debug_assert_eq!(swept, dmin, "a covering backup raises dmin by exactly one");
+        }
     }
 
-    stats.final_dmin = graph.dmin();
+    stats.final_dmin = dmin;
     stats.elapsed_micros = start.elapsed().as_micros();
     let machines: Result<Vec<Dfsm>> = partitions
         .iter()
@@ -275,6 +296,122 @@ pub(crate) fn seq_engine(
         machines: machines?,
         stats,
     })
+}
+
+/// `dmin` and the weakest edges of the fault graph `G(⊤, M)` of a machine
+/// set `M`, swept from the machines' bitset block rows without ever
+/// materialising the `n(n−1)/2` edge weights — all Algorithm 2 reads of
+/// that graph.
+///
+/// Bit `j` of the block row of state `i`'s block is set iff the machine
+/// does *not* separate `i` and `j`, so summing those rows over `M` counts
+/// each pair's deficit `|M| − w(i, j)`.  The sweep takes, per state `i`,
+/// every machine's row once, and adds them word by word into bit-sliced
+/// counters: `planes[k]` holds bit `k` of the 64 lanes' deficits, and
+/// `⌈log2(|M| + 1)⌉` planes hold any deficit.  The largest deficit of a
+/// word falls out of the planes from the top down; `dmin` is `|M|` minus
+/// the largest deficit overall, and the weakest edges are the lanes at it,
+/// collected in row-major order as the sweep goes (a larger deficit
+/// restarts the list).  Both are bit-identical to [`FaultGraph::dmin`] and
+/// [`FaultGraph::weakest_edges`] over the same partitions.
+///
+/// The buffers live as long as their owner: a [`crate::FusionSession`]
+/// keeps one sweep across searches.
+#[derive(Debug, Default)]
+pub(crate) struct WeakestSweep {
+    /// Bitset forms of the machines; the first `live` are the set, the
+    /// rest spare buffers for reuse.
+    machines: Vec<BitsetPartition>,
+    live: usize,
+    planes: Vec<u64>,
+    weakest: Vec<(usize, usize)>,
+}
+
+impl WeakestSweep {
+    /// Empties the machine set.
+    pub(crate) fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// Adds a machine to the set.
+    pub(crate) fn push(&mut self, p: &Partition) {
+        match self.machines.get_mut(self.live) {
+            Some(bits) => bits.refresh_from_partition(p),
+            None => self.machines.push(BitsetPartition::from_partition(p)),
+        }
+        self.live += 1;
+    }
+
+    /// The weakest edges found by the last [`WeakestSweep::run`], in
+    /// row-major order.
+    pub(crate) fn weakest_edges(&self) -> &[(usize, usize)] {
+        &self.weakest
+    }
+
+    /// Sweeps the set's fault graph over `n` states (every machine must
+    /// partition exactly `n` states): returns `dmin`, `u32::MAX` when there
+    /// are no edges, and keeps the weakest edges for
+    /// [`WeakestSweep::weakest_edges`].
+    pub(crate) fn run(&mut self, n: usize) -> u32 {
+        let machines = &self.machines[..self.live];
+        let m = machines.len();
+        let planes = &mut self.planes;
+        planes.clear();
+        planes.resize((usize::BITS - m.leading_zeros()) as usize, 0);
+        let weakest = &mut self.weakest;
+        weakest.clear();
+        let words = words_for(n);
+        let mut best: Option<usize> = None;
+        let mut rows: Vec<&[u64]> = Vec::with_capacity(m);
+        for i in 0..n.saturating_sub(1) {
+            rows.clear();
+            rows.extend(machines.iter().map(|p| p.block_row(p.block_of(i))));
+            let start = i + 1;
+            for w in start / WORD_BITS..words {
+                let mut lanes = !0u64;
+                if w == start / WORD_BITS {
+                    lanes &= !0u64 << (start % WORD_BITS);
+                }
+                if w == words - 1 && n % WORD_BITS != 0 {
+                    lanes &= (1u64 << (n % WORD_BITS)) - 1;
+                }
+                planes.fill(0);
+                for row in &rows {
+                    let mut carry = row[w];
+                    for plane in planes.iter_mut() {
+                        if carry == 0 {
+                            break;
+                        }
+                        let next = *plane & carry;
+                        *plane ^= carry;
+                        carry = next;
+                    }
+                }
+                // Narrow the lanes to those at the word's largest deficit,
+                // one plane at a time from the top.
+                let mut deficit = 0usize;
+                for (k, &plane) in planes.iter().enumerate().rev() {
+                    if lanes & plane != 0 {
+                        lanes &= plane;
+                        deficit |= 1 << k;
+                    }
+                }
+                match best {
+                    Some(b) if deficit < b => continue,
+                    Some(b) if deficit == b => {}
+                    _ => {
+                        best = Some(deficit);
+                        weakest.clear();
+                    }
+                }
+                while lanes != 0 {
+                    weakest.push((i, w * WORD_BITS + lanes.trailing_zeros() as usize));
+                    lanes &= lanes - 1;
+                }
+            }
+        }
+        best.map_or(u32::MAX, |d| (m - d) as u32)
+    }
 }
 
 /// The block-level pre-filter of one descent level: pairs `(b1, b2)` of
@@ -439,7 +576,6 @@ pub fn generate_fusion_for_machines(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault_graph::FaultGraph;
     use crate::set_repr::set_representation;
     use fsm_dfsm::{are_isomorphic, DfsmBuilder};
 
@@ -615,6 +751,104 @@ mod tests {
         all.push(fusion.partitions[0].clone());
         let g = FaultGraph::from_partitions(4, &all);
         assert!(g.tolerates_crash_faults(1));
+    }
+
+    /// Originals over the wrong number of states: A and B of Fig. 2/3 with
+    /// B's partition shortened or lengthened by one state.
+    fn fig2_with_resized_b(n: usize) -> (Dfsm, Vec<Partition>) {
+        let (top, mut originals) = fig2_top_and_machines();
+        originals[1] = Partition::from_assignment(&(0..n).map(|x| x.min(2)).collect::<Vec<_>>());
+        (top, originals)
+    }
+
+    fn assert_rejected(top: &Dfsm, originals: &[Partition]) {
+        for result in [
+            generate_fusion(top, originals, 1),
+            FusionConfig::new()
+                .build()
+                .generate_fusion(top, originals, 1),
+        ] {
+            assert!(
+                matches!(result, Err(FusionError::InvalidPartition(_))),
+                "{result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shorter_original_partition_is_rejected() {
+        let (top, originals) = fig2_with_resized_b(3);
+        assert_rejected(&top, &originals);
+    }
+
+    #[test]
+    fn longer_original_partition_is_rejected() {
+        let (top, originals) = fig2_with_resized_b(5);
+        assert_rejected(&top, &originals);
+    }
+
+    /// SplitMix64 step, the random source of the sweep's oracle test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random partition of `n` states into at most `blocks` blocks.
+    fn random_partition(n: usize, blocks: u64, rng: &mut u64) -> Partition {
+        let assignment: Vec<usize> = (0..n).map(|_| (splitmix(rng) % blocks) as usize).collect();
+        Partition::from_assignment(&assignment)
+    }
+
+    /// Sweeps `family` with a reused sweep and checks `dmin` and the
+    /// weakest edges against the fault graph built from the same family.
+    fn assert_sweep_matches_oracle(sweep: &mut WeakestSweep, n: usize, family: &[Partition]) {
+        sweep.clear();
+        for p in family {
+            sweep.push(p);
+        }
+        let dmin = sweep.run(n);
+        let oracle = FaultGraph::from_partitions(n, family);
+        let m = family.len();
+        assert_eq!(dmin, oracle.dmin(), "dmin, n = {n}, m = {m}");
+        assert_eq!(
+            sweep.weakest_edges(),
+            oracle.weakest_edges(),
+            "weakest edges, n = {n}, m = {m}"
+        );
+    }
+
+    #[test]
+    fn weakest_sweep_matches_the_fault_graph_oracle() {
+        let mut rng = 0x5EED_u64;
+        let mut sweep = WeakestSweep::default();
+        // Word boundaries on both sides of 64 and 128; no machines, one
+        // machine, then random family sizes and block counts.
+        for n in [1, 2, 63, 64, 65, 128, 129] {
+            for case in 0..16 {
+                let m = match case {
+                    0 => 0,
+                    1 => 1,
+                    _ => 2 + (splitmix(&mut rng) % 10) as usize,
+                };
+                let family: Vec<Partition> = (0..m)
+                    .map(|_| {
+                        let blocks = 1 + splitmix(&mut rng) % 8;
+                        random_partition(n, blocks, &mut rng)
+                    })
+                    .collect();
+                assert_sweep_matches_oracle(&mut sweep, n, &family);
+            }
+        }
+        // 300 machines: 280 copies of one partition push the deficits of
+        // its same-block pairs past 255, into a ninth counter plane.
+        let n = 100;
+        let repeated = random_partition(n, 3, &mut rng);
+        let mut family = vec![repeated; 280];
+        family.extend((0..20).map(|_| random_partition(n, 2, &mut rng)));
+        assert_sweep_matches_oracle(&mut sweep, n, &family);
     }
 
     #[test]

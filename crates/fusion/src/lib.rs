@@ -107,7 +107,7 @@ pub use closed::{check_closed, close, is_closed, quotient_machine, CloseScratch,
 pub use config::{CachePolicy, Engine, FusionConfig, ProductStrategy};
 pub use delta::{TopDelta, UpdateStats};
 pub use error::{FusionError, Result};
-pub use fault_graph::{FaultGraph, GraphDelta, WeightRepr};
+pub use fault_graph::{FaultGraph, WeightRepr};
 pub use generate::{
     generate_fusion, generate_fusion_for_machines, generate_fusion_seq, FusionGeneration,
     GenerationStats,

@@ -8,7 +8,8 @@
 //! [`FusionConfig`] — owns all of that across calls:
 //!
 //! * one [`CloseScratch`] serving every closure of the session's lifetime,
-//!   and the buffers of the descent's block-level pre-filter,
+//!   the buffers of the descent's block-level pre-filter and those of the
+//!   weakest-edge sweep,
 //! * the [`ClosureKernel`] of the current top machine, rebuilt only when
 //!   that machine actually changes,
 //! * a [`fsm_dfsm::ProductBuilder`] configuration for
@@ -64,8 +65,7 @@ use crate::closed::{CloseScratch, ClosureKernel};
 use crate::config::{CachePolicy, FusionConfig, ProductStrategy};
 use crate::delta::{TopDelta, UpdateStats};
 use crate::error::{FusionError, Result};
-use crate::fault_graph::{FaultGraph, WeightRepr};
-use crate::generate::{seq_engine, DoomedPairs, FusionGeneration};
+use crate::generate::{seq_engine, DoomedPairs, FusionGeneration, WeakestSweep};
 use crate::lattice::{enumerate_lattice_impl, lower_cover_impl, ClosedPartitionLattice};
 use crate::partition::Partition;
 use crate::set_repr::projection_partitions;
@@ -95,10 +95,11 @@ pub struct CacheStats {
     /// under the element bound, or because a delta made them
     /// unrepresentable over the new `⊤`.
     pub evicted: u64,
-    /// Initial fault graphs answered from the cached copy (same `⊤` and
-    /// same originals as a previous call, e.g. along an `f` sweep).
+    /// Always zero: Algorithm 2 sweeps the machines' block rows for its
+    /// weakest edges and keeps no fault graph to cache.  Kept so existing
+    /// readers of the counters still compile.
     pub graph_hits: u64,
-    /// Initial fault graphs that had to be rebuilt from the originals.
+    /// Always zero, like [`CacheStats::graph_hits`].
     pub graph_misses: u64,
 }
 
@@ -167,13 +168,6 @@ pub(crate) struct ClosureCache {
     elements: usize,
     /// Monotone insertion counter backing [`LevelEntry::seq`].
     next_seq: u64,
-    /// One cached initial fault graph: `(n, originals, graph)`.  Every
-    /// generation starts by folding the originals into a fresh graph —
-    /// `O(m · n²)` word work that is identical across an `f` sweep — so
-    /// the session keeps the last one and clones it out on an exact
-    /// originals match (a single slot, deliberately outside the element
-    /// bound).
-    graph: Option<(usize, Vec<Partition>, FaultGraph)>,
     stats: CacheStats,
 }
 
@@ -184,7 +178,6 @@ impl ClosureCache {
             bound,
             elements: 0,
             next_seq: 0,
-            graph: None,
             stats: CacheStats::default(),
         }
     }
@@ -213,30 +206,12 @@ impl ClosureCache {
         true
     }
 
-    /// Drops every cached closure and the cached fault graph (counted in
-    /// [`CacheStats::clears`]); the counters themselves survive.
+    /// Drops every cached closure (counted in [`CacheStats::clears`]); the
+    /// counters themselves survive.
     pub(crate) fn clear(&mut self) {
         self.levels.clear();
         self.elements = 0;
-        self.graph = None;
         self.stats.clears += 1;
-    }
-
-    /// The fault graph of `originals` over an `n`-state `⊤`: a clone of
-    /// the cached copy when `originals` matches the last call **exactly**
-    /// (full `Vec<Partition>` equality, so a hit is bit-identical to a
-    /// rebuild by construction), a fresh build otherwise.
-    pub(crate) fn initial_graph(&mut self, n: usize, originals: &[Partition]) -> FaultGraph {
-        if let Some((gn, key, g)) = &self.graph {
-            if *gn == n && key.as_slice() == originals {
-                self.stats.graph_hits += 1;
-                return g.clone();
-            }
-        }
-        let g = FaultGraph::from_partitions(n, originals);
-        self.graph = Some((n, originals.to_vec(), g.clone()));
-        self.stats.graph_misses += 1;
-        g
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -544,6 +519,7 @@ pub struct FusionSession {
     product: ProductStrategy,
     scratch: CloseScratch,
     doomed: DoomedPairs,
+    sweep: WeakestSweep,
     cache: Option<ClosureCache>,
     ctx: Option<TopContext>,
     /// The installed evolving top ([`FusionSession::install_top`]), absent
@@ -574,6 +550,7 @@ impl FusionSession {
             product,
             scratch: CloseScratch::new(),
             doomed: DoomedPairs::default(),
+            sweep: WeakestSweep::default(),
             cache,
             ctx: None,
             top: None,
@@ -642,8 +619,22 @@ impl FusionSession {
         originals: &[Partition],
         f: usize,
     ) -> Result<FusionGeneration> {
-        let (kernel, scratch, doomed, cache) = self.context_for(top);
-        seq_engine(top, kernel, originals, f, scratch, doomed, cache)
+        self.refresh_context(top);
+        let kernel = &self
+            .ctx
+            .as_ref()
+            .expect("refresh_context installs a context")
+            .kernel;
+        seq_engine(
+            top,
+            kernel,
+            originals,
+            f,
+            &mut self.scratch,
+            &mut self.doomed,
+            &mut self.sweep,
+            self.cache.as_mut(),
+        )
     }
 
     /// The whole pipeline: builds the reachable cross product with the
@@ -664,7 +655,7 @@ impl FusionSession {
     /// The lower cover of a closed partition `p` of `top` through the
     /// session (closures come from the cache like the descent's).
     pub fn lower_cover(&mut self, top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
-        let (kernel, scratch, _, cache) = self.context_for(top);
+        let (kernel, scratch, cache) = self.context_for(top);
         lower_cover_impl(kernel, p, scratch, cache)
     }
 
@@ -675,7 +666,7 @@ impl FusionSession {
         top: &Dfsm,
         limit: usize,
     ) -> Result<ClosedPartitionLattice> {
-        let (kernel, scratch, _, cache) = self.context_for(top);
+        let (kernel, scratch, cache) = self.context_for(top);
         enumerate_lattice_impl(top, kernel, limit, scratch, cache)
     }
 
@@ -728,9 +719,6 @@ impl FusionSession {
     /// * the product interner is stride-extended
     ///   ([`fsm_dfsm::ProductBuilder::extend_factor`]) for
     ///   [`TopDelta::AddMachine`],
-    /// * the cached fault graph is pulled back / contracted and re-scored
-    ///   only on the touched stripes
-    ///   ([`crate::FaultGraph::apply_delta`]),
     /// * cached closures are re-indexed and rehashed
     ///   (collision-verified) rather than cleared,
     /// * the kernel is replaced in place without a cache reset.
@@ -797,9 +785,8 @@ impl FusionSession {
         }
     }
 
-    /// [`TopDelta::AddMachine`]: stride-extend the product, pull the
-    /// cached graph back along the projection and score only the new
-    /// machine's stripes, lift cached closures.
+    /// [`TopDelta::AddMachine`]: stride-extend the product, lift cached
+    /// closures.
     fn apply_add(&mut self, top: TopState, machine: Dfsm) -> Result<UpdateStats> {
         let (product, ext) = match self.product_builder().extend_factor(&top.product, &machine) {
             Ok(v) => v,
@@ -811,47 +798,15 @@ impl FusionSession {
         let mut machines = top.machines;
         machines.push(machine);
         let originals = projection_partitions(&product);
-        let n_new = product.size();
         let mut stats = UpdateStats {
             product_states_reexpanded: ext.reexpanded,
             ..Default::default()
         };
         if let Some(cache) = self.cache.as_mut() {
-            let want = WeightRepr::auto_for(n_new, &originals);
-            let warm = match cache.graph.take() {
-                Some((gn, key, g))
-                    if gn == top.product.size()
-                        && key.as_slice() == top.originals.as_slice()
-                        && g.representation() == want =>
-                {
-                    Some(g)
-                }
-                _ => None,
-            };
-            let g = match warm {
-                Some(g) => {
-                    // Pull the old graph back along the projection (the
-                    // old originals lift to exactly the new ones), then
-                    // fold in only the added machine's partition.
-                    let (g, touched) = g.remap_states_adding(
-                        &ext.mapping,
-                        originals.last().expect("just pushed a machine"),
-                    );
-                    stats.graph_stripes_touched = touched;
-                    g
-                }
-                None => {
-                    stats.graph_rebuilt = true;
-                    FaultGraph::from_partitions(n_new, &originals)
-                }
-            };
-            cache.graph = Some((n_new, originals.clone(), g));
             let (rm, ev) = (cache.stats.remapped, cache.stats.evicted);
             cache.remap_lift(&ext.mapping);
             stats.closures_remapped = cache.stats.remapped - rm;
             stats.closures_evicted = cache.stats.evicted - ev;
-        } else {
-            stats.graph_rebuilt = true;
         }
         self.install_context(product.top());
         self.top = Some(TopState {
@@ -863,9 +818,7 @@ impl FusionSession {
     }
 
     /// [`TopDelta::RemoveMachine`]: rebuild the (smaller) product cold,
-    /// subtract the departing machine from the cached graph and contract
-    /// it onto representative states, push fiber-constant closures
-    /// forward.
+    /// push fiber-constant closures forward.
     fn apply_remove(&mut self, top: TopState, index: usize) -> Result<UpdateStats> {
         let mut machines = top.machines.clone();
         machines.remove(index);
@@ -877,73 +830,37 @@ impl FusionSession {
             }
         };
         let originals = projection_partitions(&product);
-        let n_old = top.product.size();
         let n_new = product.size();
-        // `sigma`: old product state → the new state its surviving
-        // components land on (total — a projection of a reachable state is
-        // reachable, because ignored-event semantics let the reaching run
-        // replay on the survivors).  `rep`: first old preimage of each new
-        // state, the contraction representatives.
-        let mut sigma = Vec::with_capacity(n_old);
-        let mut rep = vec![u32::MAX; n_new];
-        let mut tuple = Vec::with_capacity(top.product.arity() - 1);
-        for x in 0..n_old {
-            tuple.clear();
-            tuple.extend(
-                top.product
-                    .tuple(StateId(x))
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != index)
-                    .map(|(_, &s)| s),
-            );
-            let u = product
-                .find_tuple(&tuple)
-                .expect("projection of a reachable state is reachable");
-            sigma.push(u.0 as u32);
-            if rep[u.0] == u32::MAX {
-                rep[u.0] = x as u32;
-            }
-        }
         let mut stats = UpdateStats {
             product_states_reexpanded: n_new,
             ..Default::default()
         };
         if let Some(cache) = self.cache.as_mut() {
-            let want = WeightRepr::auto_for(n_new, &originals);
-            let warm = match cache.graph.take() {
-                Some((gn, key, g))
-                    if gn == n_old
-                        && key.as_slice() == top.originals.as_slice()
-                        && g.representation() == want =>
-                {
-                    Some(g)
-                }
-                _ => None,
-            };
-            let g = match warm {
-                Some(g) => {
-                    // Subtract the departing machine while contracting onto
-                    // representatives: the remaining weights are
-                    // fiber-constant, so any representative gives the cold
-                    // graph, and the fused pass never walks the full-size
-                    // edge set.
-                    let (g, touched) = g.remap_states_removing(&rep, &top.originals[index]);
-                    stats.graph_stripes_touched = touched;
-                    g
-                }
-                None => {
-                    stats.graph_rebuilt = true;
-                    FaultGraph::from_partitions(n_new, &originals)
-                }
-            };
-            cache.graph = Some((n_new, originals.clone(), g));
+            // `sigma`: old product state → the new state its surviving
+            // components land on (total — a projection of a reachable
+            // state is reachable, because ignored-event semantics let the
+            // reaching run replay on the survivors).
+            let mut sigma = Vec::with_capacity(top.product.size());
+            let mut tuple = Vec::with_capacity(top.product.arity() - 1);
+            for x in 0..top.product.size() {
+                tuple.clear();
+                tuple.extend(
+                    top.product
+                        .tuple(StateId(x))
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| i != index)
+                        .map(|(_, &s)| s),
+                );
+                let u = product
+                    .find_tuple(&tuple)
+                    .expect("projection of a reachable state is reachable");
+                sigma.push(u.0 as u32);
+            }
             let (rm, ev) = (cache.stats.remapped, cache.stats.evicted);
             cache.remap_contract(&sigma, n_new);
             stats.closures_remapped = cache.stats.remapped - rm;
             stats.closures_evicted = cache.stats.evicted - ev;
-        } else {
-            stats.graph_rebuilt = true;
         }
         self.install_context(product.top());
         self.top = Some(TopState {
@@ -979,34 +896,23 @@ impl FusionSession {
         });
         Ok(UpdateStats {
             product_states_reexpanded: size,
-            graph_rebuilt: true,
             cold_rebuild: true,
             ..Default::default()
         })
     }
 
     /// [`FusionSession::refresh_context`] for `top`, then the kernel,
-    /// scratch buffers and cache an engine call threads through.
+    /// closure scratch and cache a lattice call threads through.
     fn context_for(
         &mut self,
         top: &Dfsm,
-    ) -> (
-        &ClosureKernel,
-        &mut CloseScratch,
-        &mut DoomedPairs,
-        Option<&mut ClosureCache>,
-    ) {
+    ) -> (&ClosureKernel, &mut CloseScratch, Option<&mut ClosureCache>) {
         self.refresh_context(top);
         let ctx = self
             .ctx
             .as_ref()
             .expect("refresh_context installs a context");
-        (
-            &ctx.kernel,
-            &mut self.scratch,
-            &mut self.doomed,
-            self.cache.as_mut(),
-        )
+        (&ctx.kernel, &mut self.scratch, self.cache.as_mut())
     }
 
     /// Installs (or keeps) the per-machine context for `top`.  The closure
@@ -1246,9 +1152,10 @@ mod tests {
             .update_top(TopDelta::AddMachine(counter("c", "0", 3)))
             .unwrap();
         assert!(!stats.cold_rebuild, "{stats}");
-        assert!(!stats.graph_rebuilt, "{stats}");
-        assert!(stats.graph_stripes_touched > 0, "{stats}");
         assert!(stats.closures_remapped > 0, "{stats}");
+        // No fault graph is kept, so the graph counters read zero.
+        assert!(!stats.graph_rebuilt, "{stats}");
+        assert_eq!(stats.graph_stripes_touched, 0, "{stats}");
         assert!(stats.product_states_reexpanded > 0, "{stats}");
         assert_eq!(warm.top_machines().unwrap().len(), 3);
 
@@ -1288,7 +1195,13 @@ mod tests {
 
         let stats = warm.update_top(TopDelta::RemoveMachine(2)).unwrap();
         assert!(!stats.cold_rebuild, "{stats}");
-        assert!(!stats.graph_rebuilt, "{stats}");
+        // The cached closures were pushed through the contraction or
+        // evicted one by one, never cleared wholesale.
+        assert!(
+            stats.closures_remapped + stats.closures_evicted > 0,
+            "{stats}"
+        );
+        assert_eq!(warm.cache_stats().clears, 0);
         assert_eq!(warm.top_machines().unwrap().len(), 2);
         assert_eq!(warm.top_product().unwrap().size(), 9);
 
@@ -1316,7 +1229,8 @@ mod tests {
             })
             .unwrap();
         assert!(stats.cold_rebuild, "{stats}");
-        assert!(stats.graph_rebuilt, "{stats}");
+        // The top machine changed, so the closure cache started over.
+        assert_eq!(warm.cache_stats().clears, 1);
         assert_eq!(warm.top_product().unwrap().size(), 12);
 
         let mut cold = FusionConfig::new().build();
